@@ -1,8 +1,9 @@
 // One-sided RMA persistent plans vs the two-sided alltoallw schedules.
 //
-// The put-based plan (coll/persistent.cpp RMA branch) exchanges window
-// offsets once at setup; every steady-state round is then fence, fused
-// pack+puts, fence, unpacks — no envelopes, no matching, no CTS. This
+// The put-based plan (coll/persistent.cpp RMA branch) exchanges receive
+// layouts once at setup; every steady-state round is then fence, puts
+// straight into the peers' receive layouts, fence — no envelopes, no
+// matching, no CTS, no unpacks. This
 // bench quantifies that on the paper's nonuniform shapes and attests the
 // structural claim with runtime counters.
 //

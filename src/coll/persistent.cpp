@@ -1,6 +1,7 @@
 #include "coll/persistent.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "runtime/protocol.hpp"
@@ -18,10 +19,10 @@ constexpr int kPersistentTagBase = rt::kInternalTagBase + 0x500;
 /// lane is an offset within the persistent tag space (0x500 + 0x80 keeps
 /// the old wire tags bit-for-bit).
 constexpr int kCtsOffset = 0x80;
-/// One-sided plans exchange window offsets exactly once, at plan time, on
+/// One-sided plans exchange receive layouts exactly once, at plan time, on
 /// this lane (disjoint from the CTS lane; steady state then moves zero
 /// control messages).
-constexpr int kRmaOffsetExchange = 0x100;
+constexpr int kRmaLayoutExchange = 0x100;
 /// Tune-cache marker distinguishing an RMA-available pattern from the same
 /// pattern with RMA gated off ("RMA" in ASCII).
 constexpr std::uint64_t kRmaSigSalt = 0x524d41;
@@ -189,42 +190,52 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     rma_ = use_rma;
 
     if (use_rma) {
-        // Window layout: one block per source peer, prefix sums of receive
-        // volumes in rank order. Each source learns its offset into this
-        // rank's region (and we learn ours into each destination's) in a
-        // single setup-time exchange; steady state then fuses pack+put into
-        // the peer region with no envelopes, no CTS, and no staging beyond
-        // the self slot.
-        std::vector<std::uint64_t> my_offsets(n, 0);
-        std::uint64_t win_bytes = 0;
+        // The window region is the data footprint of this rank's remote
+        // receive layouts inside recvbuf; begin() re-points it at each
+        // execute's buffer. Each source learns its typed layout relative to
+        // that region (and we learn ours at each destination) in a single
+        // setup-time exchange of heap handles, the hand-off Win::create uses
+        // for its control block; steady state then puts straight into the
+        // peers' receive buffers with no envelopes, no CTS, no unpacks.
+        std::ptrdiff_t lo = PTRDIFF_MAX, hi = PTRDIFF_MIN;
         for (const RecvPeer& p : recvs) {
-            my_offsets[static_cast<std::size_t>(p.rank)] = win_bytes;
-            win_bytes += p.bytes;
+            const auto [first, last] = p.type.flat().footprint(p.count);
+            lo = std::min(lo, p.displ + first);
+            hi = std::max(hi, p.displ + last);
         }
-        win_buf_.resize(static_cast<std::size_t>(win_bytes));
-        win_ = rt::Win::create(comm, win_buf_.data(), win_buf_.size());
+        recv_lo_ = recvs.empty() ? 0 : lo;
+        recv_bytes_ = recvs.empty() ? 0 : static_cast<std::size_t>(hi - lo);
+        win_ = rt::Win::create(comm, nullptr, 0);
 
         TagSpace xspace(comm, kPersistentTagBase);
-        const int xtag = xspace.tag(kRmaOffsetExchange);
+        const int xtag = xspace.tag(kRmaLayoutExchange);
         const dt::Datatype byte = dt::Datatype::byte();
-        std::vector<std::uint64_t> target_offsets(n, 0);
+        std::vector<std::uint64_t> handles_in(n, 0), handles_out(n, 0);
         std::vector<rt::Request> xreqs;
         xreqs.reserve(sends.size() + recvs.size());
         for (const SendPeer& p : sends) {
-            xreqs.push_back(comm.irecv_i(&target_offsets[static_cast<std::size_t>(p.rank)],
+            xreqs.push_back(comm.irecv_i(&handles_in[static_cast<std::size_t>(p.rank)],
                                          sizeof(std::uint64_t), byte, p.rank, xtag));
         }
         for (const RecvPeer& p : recvs) {
-            xreqs.push_back(comm.isend_i(&my_offsets[static_cast<std::size_t>(p.rank)],
-                                         sizeof(std::uint64_t), byte, p.rank, xtag,
-                                         rt::Protocol::Eager));
+            auto* layout = new RecvLayout{p.displ - recv_lo_, p.count, p.type};
+            auto& h = handles_out[static_cast<std::size_t>(p.rank)];
+            h = reinterpret_cast<std::uint64_t>(layout);
+            xreqs.push_back(comm.isend_i(&h, sizeof h, byte, p.rank, xtag, rt::Protocol::Eager));
         }
         for (rt::Request& rq : xreqs) comm.wait(rq);
+        std::vector<RecvLayout> targets(n);
+        for (const SendPeer& p : sends) {
+            const auto d = static_cast<std::size_t>(p.rank);
+            auto* layout = reinterpret_cast<RecvLayout*>(handles_in[d]);
+            targets[d] = std::move(*layout);
+            delete layout;
+        }
 
         request_ = CollRequest(
             *comm_, build_alltoallw_rma_schedule(rank, static_cast<int>(n), sendcounts,
                                                  sdispls, sendtypes, recvcounts, rdispls,
-                                                 recvtypes, target_offsets, my_offsets,
+                                                 recvtypes, targets,
                                                  config.small_msg_threshold));
         request_.set_window(&win_);
         request_.set_pack_engine(engine_kind_);
@@ -343,6 +354,11 @@ void AlltoallwPlan::begin(const void* sendbuf, void* recvbuf) {
     if (!(comm_->engine_config() == engine_config_)) {
         engine_config_ = comm_->engine_config();
         request_.invalidate_engines();
+    }
+    // Before this execute's open fence, which publishes the region to peers.
+    if (rma_) {
+        win_.attach(recv_bytes_ > 0 ? static_cast<std::byte*>(recvbuf) + recv_lo_ : nullptr,
+                    recv_bytes_);
     }
     request_.reset();
     StatCounters extra;

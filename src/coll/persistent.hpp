@@ -94,9 +94,10 @@ public:
     /// The compiled schedule (inspection / netsim lowering).
     const Schedule& schedule() const { return request_.schedule(); }
 
-    /// True when the plan lowered onto one-sided RMA windows (fused
-    /// pack+Put into the peers' regions, fences for completion) instead of
-    /// the two-sided send/recv graph. Uniform across ranks by construction.
+    /// True when the plan lowered onto one-sided RMA windows (puts straight
+    /// into the peers' typed receive layouts, fences for completion) instead
+    /// of the two-sided send/recv graph. Uniform across ranks by
+    /// construction.
     bool rma() const { return rma_; }
 
 private:
@@ -108,11 +109,12 @@ private:
     std::size_t send_peers_ = 0;
     std::size_t recv_peers_ = 0;
 
-    /// RMA lowering only: the exposed receive region (one block per source
-    /// peer, rank order) and its window. Peers pack straight into it; the
-    /// round-3 Unpacks scatter it into the user layout.
-    std::vector<std::byte> win_buf_;
+    /// RMA lowering only: the window whose region begin() re-points at
+    /// [recvbuf + recv_lo_, + recv_bytes_), the data footprint of every
+    /// remote receive layout. Peers put straight into it.
     rt::Win win_;
+    std::ptrdiff_t recv_lo_ = 0;
+    std::size_t recv_bytes_ = 0;
     bool rma_ = false;
 
     StatCounters counters_;

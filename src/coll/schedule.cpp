@@ -331,8 +331,7 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::size_t> recvcounts,
                                       std::span<const std::ptrdiff_t> rdispls,
                                       std::span<const dt::Datatype> recvtypes,
-                                      std::span<const std::uint64_t> target_offsets,
-                                      std::span<const std::uint64_t> my_offsets,
+                                      std::span<const RecvLayout> targets,
                                       std::size_t small_msg_threshold) {
     Schedule s;
     s.tag_base = kTagAlltoallw;  // no wire tags; kept for lane bookkeeping
@@ -341,8 +340,9 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
 
     // Round 0: open the access+exposure epoch. The open fence of execute
     // k+1 doubles as the consumption barrier for execute k — a rank only
-    // re-enters it after its own round-3 Unpacks retired, so no peer can
-    // overwrite window bytes that are still unread.
+    // re-enters it from begin(), after its caller was done with the
+    // previous results and its window region followed the new receive
+    // buffer, so no peer can overwrite bytes that are still being read.
     ScheduleOp open;
     open.kind = ScheduleOpKind::Fence;
     open.round = 0;
@@ -352,7 +352,7 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
     // Round 1: the self block never touches the window (staged through the
     // one persistent slot, like the two-sided plan), and the remote blocks
     // keep the binned small-before-large ordering of the two-sided
-    // schedule — each Put is a fused pack straight into the target region.
+    // schedule — each Put lands straight in the target's receive layout.
     const std::uint64_t self_vol =
         static_cast<std::uint64_t>(sendcounts[r]) * sendtypes[r].size();
     if (self_vol > 0) {
@@ -401,8 +401,9 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         put.a = {BufRef::Space::Send, sdispls[d]};
         put.count = sendcounts[d];
         put.type = sendtypes[d];
-        put.b = {BufRef::Space::Win,
-                 static_cast<std::ptrdiff_t>(target_offsets[d])};
+        put.b = {BufRef::Space::Win, targets[d].displ};
+        put.bcount = targets[d].count;
+        put.btype = targets[d].type;
         put.bytes = p.volume;
         put.deps = {open_idx};
         s.ops.push_back(std::move(put));
@@ -412,36 +413,14 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
     for (const Peer& p : large_bin) push_put(p);
 
     // Round 2: close the epoch. After this fence retires, every peer's
-    // puts into this rank's region are complete and visible.
+    // puts into this rank's receive buffer are complete and visible.
     ScheduleOp close;
     close.kind = ScheduleOpKind::Fence;
     close.round = 2;
     close.deps = put_idx;
     close.deps.push_back(open_idx);
     s.ops.push_back(std::move(close));
-    const int close_idx = static_cast<int>(s.ops.size()) - 1;
-
-    // Round 3: scatter each source's packed bytes out of this rank's own
-    // window region into the typed receive layout.
-    for (int src = 0; src < n; ++src) {
-        if (src == rank) continue;
-        const auto sr = static_cast<std::size_t>(src);
-        const std::uint64_t vol =
-            static_cast<std::uint64_t>(recvcounts[sr]) * recvtypes[sr].size();
-        if (vol == 0) continue;
-        ScheduleOp up;
-        up.kind = ScheduleOpKind::Unpack;
-        up.round = 3;
-        up.peer = src;
-        up.a = {BufRef::Space::Recv, rdispls[sr]};
-        up.count = recvcounts[sr];
-        up.type = recvtypes[sr];
-        up.b = {BufRef::Space::Win, static_cast<std::ptrdiff_t>(my_offsets[sr])};
-        up.bytes = vol;
-        up.deps = {close_idx};
-        s.ops.push_back(std::move(up));
-    }
-    s.rounds = 4;
+    s.rounds = 3;
     return s;
 }
 
@@ -694,7 +673,7 @@ std::byte* CollRequest::resolve(const BufRef& ref) const {
                    ref.offset;
         case BufRef::Space::Recv:
             return static_cast<std::byte*>(recvbuf_) + ref.offset;
-        case BufRef::Space::Win:  // resolved through win_->translate, not here
+        case BufRef::Space::Win:  // resolved through the target's rt::Win region
         case BufRef::Space::None:
             break;
     }
@@ -864,68 +843,19 @@ void CollRequest::run_local(std::size_t i) {
         }
         case ScheduleOpKind::Unpack: {
             PhaseScope scope(step_timers_, Phase::Pack);
-            if (op.b.space == BufRef::Space::Win) {
-                // One-sided plans: the source bytes live in this rank's own
-                // window region, where the peer's fused pack+Put left them.
-                NNCOMM_CHECK(win_ != nullptr);
-                const auto* src = static_cast<const std::byte*>(
-                    win_->translate(comm_->rank(), static_cast<std::size_t>(op.b.offset),
-                                    static_cast<std::size_t>(op.bytes)));
-                dt::unpack_from(resolve(op.a), op.type, op.count,
-                                std::span<const std::byte>(
-                                    src, static_cast<std::size_t>(op.bytes)),
-                                &step_);
-                break;
-            }
             auto& buf = staging_[static_cast<std::size_t>(op.slot)];
             dt::unpack_from(resolve(op.a), op.type, op.count,
                             std::span<const std::byte>(buf), &step_);
             break;
         }
         case ScheduleOpKind::Put: {
-            // Fused pack+put: the frozen plan kernels (or the persistent
-            // engine for irregular layouts) write straight into the target
-            // rank's window region — no staging slot, no envelope, no CTS.
+            // Straight into the target's typed receive layout through the
+            // shared transfer routine; when that runs an engine, it is this
+            // op's persistent one, reset (not rebuilt) on every execute.
             NNCOMM_CHECK(win_ != nullptr);
-            const std::byte* src = resolve(op.a);
-            const auto total = static_cast<std::size_t>(op.bytes);
-            auto* dst = static_cast<std::byte*>(
-                win_->translate(op.peer, static_cast<std::size_t>(op.b.offset), total));
-            const dt::PackPlan& plan = op.type.plan();
-            if (plan.specialized()) {
-                PhaseScope scope(step_timers_, Phase::Pack);
-                plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(dst, total),
-                          &step_);
-                ++step_.plan_hits;
-                step_.bytes_packed += op.bytes;
-            } else {
-                auto& eng = engines_[i];
-                if (!eng) {
-                    eng = dt::make_engine(engine_kind_, src, op.type, op.count,
-                                          comm_->engine_config());
-                } else {
-                    eng->reset(src);
-                }
-                std::size_t off = 0;
-                dt::ChunkView chunk;
-                while (eng->next_chunk(chunk)) {
-                    if (chunk.dense) {
-                        PhaseScope scope(step_timers_, Phase::Pack);
-                        for (const auto& [ptr, len] : chunk.iov) {
-                            std::memcpy(dst + off, ptr, len);
-                            off += len;
-                        }
-                    } else {
-                        std::memcpy(dst + off, chunk.packed.data(), chunk.packed.size());
-                        off += chunk.packed.size();
-                    }
-                }
-                NNCOMM_CHECK(off == total);
-                step_ += eng->counters();
-                step_timers_ += eng->timers();
-                eng->reset_stats();
-            }
-            win_->record_put(total);
+            win_->put(resolve(op.a), op.count, op.type, op.peer, op.b.offset, op.bcount,
+                      op.btype,
+                      {engine_kind_, comm_->engine_config(), step_, step_timers_, &engines_[i]});
             break;
         }
         case ScheduleOpKind::Reduce: {

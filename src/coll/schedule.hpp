@@ -72,20 +72,18 @@ private:
 // ---------------------------------------------------------------------------
 // Schedule
 
-/// Put and Fence are the one-sided ops (persistent RMA plans): a Put packs
-/// its typed source with the frozen plan kernels straight into the target
-/// rank's window region (fused pack+put — no staging slot, no envelope, no
-/// matching), a Fence is the collective epoch boundary that rides the
-/// rt::Win seq-counter completion path. Neither touches the delivery
-/// engine.
+/// Put and Fence are the one-sided ops (persistent RMA plans): a Put moves
+/// its typed source straight into the target rank's typed receive layout
+/// inside that rank's window region (one rt::transfer pass — no staging
+/// slot, no envelope, no matching, no unpack at the target), a Fence is the
+/// collective epoch boundary that rides the rt::Win seq-counter completion
+/// path. Neither touches the delivery engine.
 enum class ScheduleOpKind : std::uint8_t { Send, Recv, Copy, Pack, Unpack, Reduce, Put, Fence };
 
 /// Position-independent buffer reference, bound to concrete pointers at
 /// CollRequest::start(sendbuf, recvbuf). `None` means "no user buffer"
-/// (zero-byte synchronization tokens). `Win` offsets into an rt::Win
-/// region: the *target* rank's region for a Put's `b`, this rank's own
-/// region for an Unpack's `b` (the executor resolves which through the
-/// op's peer).
+/// (zero-byte synchronization tokens). `Win` offsets into the target
+/// rank's rt::Win region (a Put's `b`).
 struct BufRef {
     enum class Space : std::uint8_t { None, Send, Recv, Win };
     Space space = Space::None;
@@ -114,7 +112,7 @@ struct ScheduleOp {
     std::size_t count = 0;
     dt::Datatype type;
 
-    BufRef b;  ///< Copy dst
+    BufRef b;  ///< Copy dst / Put target (bcount x btype at b)
     std::size_t bcount = 0;
     dt::Datatype btype;
 
@@ -184,16 +182,22 @@ Schedule build_scatterv_schedule(int rank, int nranks, int root,
 Schedule build_reduce_schedule(int rank, int nranks, int root, std::size_t nbytes,
                                ReduceOp op, ReduceFn fn, std::size_t elems);
 
-/// One-sided alltoallw over a pre-negotiated rt::Win: round 0 opens the
-/// access epoch (Fence), round 1 fires one fused pack+Put per nonzero
-/// destination (binned small-first like the two-sided Binned schedule) plus
-/// the self Copy, round 2 closes the epoch (Fence, depending on every Put),
-/// round 3 Unpacks each source's bytes out of this rank's own window
-/// region. No Send/Recv, no CTS, no staging slots. `target_offsets[d]` is
-/// this rank's byte offset inside destination d's window; `my_offsets[s]`
-/// is source s's byte offset inside this rank's window (both n-sized,
-/// unused entries ignored). The offsets are exchanged once at plan setup —
-/// steady state moves zero control messages.
+/// A destination's receive layout for this rank's block: `count` x `type`
+/// whose base sits `displ` bytes into the destination's window region.
+struct RecvLayout {
+    std::ptrdiff_t displ = 0;
+    std::size_t count = 0;
+    dt::Datatype type;
+};
+
+/// One-sided alltoallw over a pre-negotiated rt::Win whose regions are the
+/// ranks' receive buffers: round 0 opens the access epoch (Fence), round 1
+/// fires one Put per nonzero destination straight into `targets[d]`, the
+/// destination's typed receive layout (binned small-first like the
+/// two-sided Binned schedule), plus the self Copy, and round 2 closes the
+/// epoch (Fence, depending on every Put). No Send/Recv, no CTS, no staging
+/// slots, no unpacks. `targets` is n-sized (unused entries ignored) and is
+/// exchanged once at plan setup — steady state moves zero control messages.
 Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::size_t> sendcounts,
                                       std::span<const std::ptrdiff_t> sdispls,
@@ -201,8 +205,7 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::size_t> recvcounts,
                                       std::span<const std::ptrdiff_t> rdispls,
                                       std::span<const dt::Datatype> recvtypes,
-                                      std::span<const std::uint64_t> target_offsets,
-                                      std::span<const std::uint64_t> my_offsets,
+                                      std::span<const RecvLayout> targets,
                                       std::size_t small_msg_threshold);
 
 // ---------------------------------------------------------------------------
@@ -269,7 +272,7 @@ public:
         engine_kind_set_ = true;
     }
 
-    /// Binds the rt::Win that Put/Fence/window-Unpack ops operate on.
+    /// Binds the rt::Win that Put/Fence ops operate on.
     /// Required before start() when the schedule contains one-sided ops;
     /// the window must outlive the request. Not owned.
     void set_window(rt::Win* win) { win_ = win; }

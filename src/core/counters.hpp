@@ -178,8 +178,8 @@ struct StatCounters {
     std::uint64_t rt_rdzv_pipelined_chunks = 0;  ///< chunks moved through the fused path
 
     // One-sided RMA counters (runtime/win.cpp + coll/persistent.cpp). Puts
-    // and gets are window transfers (a fused pack straight into the target
-    // region counts as one put); fences tally epoch closes, flushes the
+    // and gets are window transfers (a typed put straight into the target's
+    // receive layout counts as one put); fences tally epoch closes, flushes the
     // per-target completion calls, pscw epochs the start/complete pairs. A
     // steady-state RMA plan execute shows puts and fences but zero
     // deliveries and zero matching traffic — that absence is the point, and

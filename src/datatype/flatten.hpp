@@ -13,8 +13,10 @@
 // quadratic re-search are counted in.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -55,6 +57,14 @@ public:
     /// Can exceed extent() for resized types — buffers must be sized by
     /// (count - 1) * extent() + data_ub(), not count * extent().
     std::ptrdiff_t data_ub() const { return data_ub_; }
+    /// Byte range [first, second) that `count` consecutive instances touch,
+    /// relative to their base: data_lb()..data_ub() stretched over the
+    /// (count - 1) extents between the first and the last instance.
+    std::pair<std::ptrdiff_t, std::ptrdiff_t> footprint(std::size_t count) const {
+        if (count == 0) return {0, 0};
+        const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(count - 1) * extent_;
+        return {std::min(data_lb_, data_lb_ + last), std::max(data_ub_, data_ub_ + last)};
+    }
 
     /// Cumulative data bytes before block i (prefix_bytes()[block_count()] ==
     /// size()). Used by tests and by O(1) cursor re-positioning in the

@@ -76,13 +76,6 @@ void lower_schedule(RankProgram& p, const coll::Schedule& sched, int tag0,
                 p.push_back(Op::recv(op.peer, tag0 + op.tag_offset));
             } else if (op.kind == coll::ScheduleOpKind::Fence) {
                 p.push_back(Op::fence());
-            } else if (op.kind == coll::ScheduleOpKind::Unpack &&
-                       op.b.space == coll::BufRef::Space::Win && cluster != nullptr) {
-                // RMA receiver-side scatter out of the window region: the
-                // two-sided eager path charges this copy inside Recv; here
-                // it is an explicit local cost.
-                p.push_back(Op::compute(static_cast<double>(op.bytes) *
-                                        cluster->copy_us_per_byte));
             }
         }
     }
@@ -141,32 +134,19 @@ void emit_alltoallw(std::vector<RankProgram>& progs, const ClusterConfig& cluste
     std::vector<std::size_t> recvcounts(static_cast<std::size_t>(n));
 
     if (schedule == AlltoallwSchedule::Rma) {
-        // Window layouts are analytic here: rank d's region is the prefix
-        // sums of its incoming volumes in source-rank order — exactly what
-        // the executable plans negotiate once in their setup exchange.
-        std::vector<std::vector<std::uint64_t>> win_off(
-            static_cast<std::size_t>(n), std::vector<std::uint64_t>(static_cast<std::size_t>(n), 0));
-        for (int dst = 0; dst < n; ++dst) {
-            std::uint64_t acc = 0;
-            for (int src = 0; src < n; ++src) {
-                if (src == dst || wl.vol(src, dst) == 0) continue;
-                win_off[static_cast<std::size_t>(dst)][static_cast<std::size_t>(src)] = acc;
-                acc += wl.vol(src, dst);
-            }
-        }
-        std::vector<std::uint64_t> target_offsets(static_cast<std::size_t>(n));
-        std::vector<std::uint64_t> my_offsets(static_cast<std::size_t>(n));
+        // Puts are charged by volume alone, so each target layout is just
+        // the put's own volume in bytes; displacements do not matter here.
+        std::vector<coll::RecvLayout> targets(static_cast<std::size_t>(n));
         for (int r = 0; r < n; ++r) {
             for (int peer = 0; peer < n; ++peer) {
                 const auto sp = static_cast<std::size_t>(peer);
                 sendcounts[sp] = static_cast<std::size_t>(wl.vol(r, peer));
                 recvcounts[sp] = static_cast<std::size_t>(wl.vol(peer, r));
-                target_offsets[sp] = win_off[sp][static_cast<std::size_t>(r)];
-                my_offsets[sp] = win_off[static_cast<std::size_t>(r)][sp];
+                targets[sp] = {0, sendcounts[sp], byte};
             }
             const coll::Schedule sched = coll::build_alltoallw_rma_schedule(
-                r, n, sendcounts, zero_displs, types, recvcounts, zero_displs, types,
-                target_offsets, my_offsets, wl.small_msg_threshold);
+                r, n, sendcounts, zero_displs, types, recvcounts, zero_displs, types, targets,
+                wl.small_msg_threshold);
             lower_schedule(progs[static_cast<std::size_t>(r)], sched, tag0, &cluster,
                            &wl.pack, wl.block_len, false);
         }
@@ -309,11 +289,11 @@ void ProgramBuilder::add_rma_offset_exchange(const AlltoallwWorkload& wl) {
     const int n = cluster_.nprocs;
     for (int r = 0; r < n; ++r) {
         RankProgram& p = progs_[static_cast<std::size_t>(r)];
-        // Tell each source its 8-byte offset into this rank's window...
+        // Hand each source the 8-byte handle of its receive layout here...
         for (int s = 0; s < n; ++s) {
             if (s != r && wl.vol(s, r) > 0) p.push_back(Op::send(s, tag0, 8));
         }
-        // ...and learn this rank's offset into each destination's window.
+        // ...and take this rank's layout handle from each destination.
         for (int d = 0; d < n; ++d) {
             if (d != r && wl.vol(r, d) > 0) p.push_back(Op::recv(d, tag0));
         }

@@ -57,7 +57,7 @@ enum class AlltoallwSchedule {
     RoundRobin,       ///< baseline: blocking pairwise, zero-size included
     Binned,           ///< zero-exempt, small bin packed before large
     BinnedRankOrder,  ///< ablation: zero-exempt but rank-order packing
-    Rma,              ///< one-sided: fence, fused pack+puts, fence, unpacks
+    Rma,              ///< one-sided: fence, puts into the receive layouts, fence
 };
 
 struct AlltoallwWorkload {
@@ -123,9 +123,9 @@ public:
     void add_compute_per_rank(std::span<const double> us);
     /// One alltoallw round (the workload's `iterations` field is ignored).
     void add_alltoallw(const AlltoallwWorkload& wl, AlltoallwSchedule schedule);
-    /// The one-time window-offset exchange an RMA persistent plan performs
-    /// at setup: every rank sends each of its sources an 8-byte offset and
-    /// receives its own offset from each of its destinations. Steady-state
+    /// The one-time receive-layout exchange an RMA persistent plan performs
+    /// at setup: every rank sends each of its sources an 8-byte layout
+    /// handle and receives one from each of its destinations. Steady-state
     /// RMA rounds (add_alltoallw with AlltoallwSchedule::Rma) then move
     /// zero two-sided messages.
     void add_rma_offset_exchange(const AlltoallwWorkload& wl);

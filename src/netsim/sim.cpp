@@ -138,10 +138,9 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
                     result.bytes += op.bytes;
                 } else if (op.kind == Op::Kind::Put) {
                     // LogGP put: sender pays overhead + serialization + the
-                    // fused pack/copy into the target region. No handshake
-                    // term (nothing to match), no receiver-side cost — the
-                    // target only pays when it unpacks, which the lowering
-                    // charges as Compute.
+                    // one copy into the target's receive layout. No
+                    // handshake term (nothing to match) and no
+                    // receiver-side cost: the bytes land where they belong.
                     st.clock += config_.overhead_us / speed +
                                 static_cast<double>(op.bytes) * config_.us_per_byte +
                                 static_cast<double>(op.bytes) * config_.copy_us_per_byte;

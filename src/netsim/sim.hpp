@@ -36,7 +36,8 @@ struct Op {
     }
     static Op recv(int from, int tag) { return Op{Kind::Recv, 0.0, from, tag, 0}; }
     /// One-sided put: LogGP sender cost (overhead + serialization + the
-    /// fused pack/copy), no handshake, no matching, no receiver-side cost.
+    /// one copy into the receive layout), no handshake, no matching, no
+    /// receiver-side cost.
     /// Visibility is deferred to the next Fence.
     static Op put(int to, std::uint64_t bytes) { return Op{Kind::Put, 0.0, to, 0, bytes}; }
     /// Collective epoch boundary: completes once every rank entered the

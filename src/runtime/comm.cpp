@@ -860,6 +860,80 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
     return env;
 }
 
+void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, void* dst,
+              std::size_t rcount, const dt::Datatype& rtype, std::size_t total,
+              const TransferCtx& ctx) {
+    const auto& sflat = stype.flat();
+    const auto& rflat = rtype.flat();
+    const bool sdense = sflat.contiguous();
+    const bool rdense = rflat.contiguous();
+    const bool plans =
+        ctx.config.enable_plan_fastpath && ctx.kind != dt::EngineKind::SingleContext;
+    const auto* sbase = static_cast<const std::byte*>(src);
+    auto* rbase = static_cast<std::byte*>(dst);
+
+    if (sdense && rdense) {
+        PhaseScope scope(ctx.timers, Phase::Comm);
+        std::memcpy(rbase, sbase, total);
+        return;
+    }
+    if (rdense && plans && stype.plan().specialized()) {  // gather through the send plan
+        PhaseScope scope(ctx.timers, Phase::Pack);
+        ++ctx.counters.plan_hits;
+        ctx.counters.bytes_packed += total;
+        stype.plan().pack(sflat, sbase, scount, {rbase, total}, &ctx.counters);
+        return;
+    }
+    if (sdense) {  // scatter through the receive plan
+        PhaseScope scope(ctx.timers, Phase::Pack);
+        if (plans) {
+            ++ctx.counters.plan_hits;
+            rtype.plan().unpack(rflat, rbase, rcount, {sbase, total}, &ctx.counters);
+        } else {
+            dt::TypeCursor cur(&rflat, rcount);
+            NNCOMM_CHECK(dt::unpack_bytes(rbase, cur, {sbase, total}) == total);
+        }
+        return;
+    }
+
+    // Engine chunks: the source layout streams through the pack engine and
+    // each chunk lands at its running stream position in the destination —
+    // still one pass over the payload, no staging buffer.
+    std::unique_ptr<dt::PackEngine> local;
+    std::unique_ptr<dt::PackEngine>& engine = ctx.engine != nullptr ? *ctx.engine : local;
+    if (engine) {
+        engine->reset(src);
+    } else {
+        engine = dt::make_engine(ctx.kind, src, stype, scount, ctx.config);
+    }
+    if (!rdense && plans) ++ctx.counters.plan_hits;
+    dt::TypeCursor cur(&rflat, rcount);  // used only off the plan fastpath
+    std::uint64_t pos = 0;
+    auto land = [&](const std::byte* p, std::size_t len) {
+        if (rdense) {
+            std::memcpy(rbase + pos, p, len);
+        } else if (plans) {
+            rtype.plan().unpack_range(rflat, rbase, rcount, pos, {p, len}, &ctx.counters);
+        } else {
+            NNCOMM_CHECK(dt::unpack_bytes(rbase, cur, {p, len}) == len);
+        }
+        pos += len;
+    };
+    dt::ChunkView chunk;
+    while (engine->next_chunk(chunk)) {
+        PhaseScope scope(ctx.timers, rdense ? Phase::Comm : Phase::Pack);
+        if (chunk.dense) {
+            for (const auto& [ptr, len] : chunk.iov) land(ptr, len);
+        } else {
+            land(chunk.packed.data(), chunk.packed.size());
+        }
+    }
+    NNCOMM_CHECK(pos == total);
+    ctx.timers += engine->timers();
+    ctx.counters += engine->counters();
+    engine->reset_stats();
+}
+
 /// Attempts the zero-copy rendezvous transfer: if the matching receive is
 /// already posted at the destination, the payload moves straight into the
 /// receiver's buffer in a single pass (memcpy for contiguous-to-contiguous,
@@ -915,8 +989,7 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     ++counters_.rt_lock_acquisitions;
     std::shared_ptr<RequestState> r = detail::match_prq(box, header);
     if (!r) return false;  // unposted: degrade to buffered eager
-    const auto& rflat = r->type.flat();
-    NNCOMM_CHECK_MSG(total <= rflat.size() * r->count, "message longer than receive buffer");
+    NNCOMM_CHECK_MSG(total <= r->type.size() * r->count, "message longer than receive buffer");
 
     // Feed the rdzv cost line: the single direct pass below is the whole
     // marginal cost the rendezvous protocol pays once the claim succeeded.
@@ -930,93 +1003,8 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     // aborting world cannot unwind the receive out from under us, and the
     // release-store on matched gives the bytes their happens-before edge
     // into the receiving thread.
-    const auto& sflat = type.flat();
-    const bool sdense =
-        sflat.contiguous() && static_cast<std::ptrdiff_t>(sflat.size()) == sflat.extent();
-    const bool rdense =
-        rflat.contiguous() && static_cast<std::ptrdiff_t>(rflat.size()) == rflat.extent();
-    auto* rbase = static_cast<std::byte*>(r->buf);
-
-    if (sdense && rdense) {
-        PhaseScope scope(timers_, Phase::Comm);
-        std::memcpy(rbase, buf, total);
-    } else if (!sdense && rdense) {
-        // Gather: scattered sender layout into flat destination memory. All
-        // kernel classes — Irregular included — are plan-driven now, so the
-        // engine path survives only behind the fastpath escape hatch.
-        const dt::PackPlan& plan = type.plan();
-        if (engine_config_.enable_plan_fastpath) {
-            PhaseScope scope(timers_, Phase::Pack);
-            ++counters_.plan_hits;
-            plan.pack(sflat, static_cast<const std::byte*>(buf), count, {rbase, total},
-                      &counters_);
-        } else {
-            auto engine = dt::make_engine(engine_kind_, buf, type, count, engine_config_);
-            std::size_t off = 0;
-            dt::ChunkView chunk;
-            while (engine->next_chunk(chunk)) {
-                PhaseScope scope(timers_, Phase::Comm);
-                if (chunk.dense) {
-                    for (const auto& [ptr, len] : chunk.iov) {
-                        std::memcpy(rbase + off, ptr, len);
-                        off += len;
-                    }
-                } else {
-                    std::memcpy(rbase + off, chunk.packed.data(), chunk.packed.size());
-                    off += chunk.packed.size();
-                }
-            }
-            NNCOMM_CHECK(off == total);
-            timers_ += engine->timers();
-            counters_ += engine->counters();
-        }
-    } else if (sdense && !rdense) {
-        // Scatter: flat sender memory into the receiver's layout.
-        const std::span<const std::byte> src(static_cast<const std::byte*>(buf), total);
-        const dt::PackPlan& rplan = r->type.plan();
-        PhaseScope scope(timers_, Phase::Pack);
-        if (engine_config_.enable_plan_fastpath) {
-            ++counters_.plan_hits;
-            rplan.unpack(rflat, rbase, r->count, src, &counters_);
-        } else {
-            dt::TypeCursor cur(&rflat, r->count);
-            const std::size_t n = dt::unpack_bytes(rbase, cur, src);
-            NNCOMM_CHECK(n == total);
-        }
-    } else {
-        // Both sides noncontiguous: the engine streams packed chunks out of
-        // the sender layout and each chunk scatters straight into the
-        // receiver layout at its running stream position — still one pass
-        // over the payload with no staging buffer.
-        auto engine = dt::make_engine(engine_kind_, buf, type, count, engine_config_);
-        const dt::PackPlan& rplan = r->type.plan();
-        const bool rspec = engine_config_.enable_plan_fastpath;
-        if (rspec) ++counters_.plan_hits;
-        dt::TypeCursor cur(&rflat, r->count);
-        std::uint64_t pos = 0;
-        auto scatter = [&](const std::byte* p, std::size_t len) {
-            const std::span<const std::byte> piece(p, len);
-            if (rspec) {
-                rplan.unpack_range(rflat, rbase, r->count, pos, piece, &counters_);
-            } else {
-                const std::size_t n = dt::unpack_bytes(rbase, cur, piece);
-                NNCOMM_CHECK(n == len);
-            }
-            pos += len;
-        };
-        dt::ChunkView chunk;
-        while (engine->next_chunk(chunk)) {
-            PhaseScope scope(timers_, Phase::Pack);
-            if (chunk.dense) {
-                for (const auto& [ptr, len] : chunk.iov) scatter(ptr, len);
-            } else {
-                scatter(chunk.packed.data(), chunk.packed.size());
-            }
-        }
-        NNCOMM_CHECK(pos == total);
-        timers_ += engine->timers();
-        counters_ += engine->counters();
-    }
+    transfer(buf, count, type, r->buf, r->count, r->type, total,
+             {engine_kind_, engine_config_, counters_, timers_});
 
     if (observe) {
         const auto& syn = world_->synthetic;

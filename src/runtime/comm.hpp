@@ -160,6 +160,35 @@ private:
     std::shared_ptr<detail::RequestState> state_;
 };
 
+/// Which engine transfer() may run and where it books its work.
+/// `engine`, when set, is a persistent engine slot: reset instead of
+/// rebuilt, so repeated transfers of one layout construct nothing.
+struct TransferCtx {
+    dt::EngineKind kind;
+    const dt::EngineConfig& config;
+    StatCounters& counters;
+    PhaseTimers& timers;
+    std::unique_ptr<dt::PackEngine>* engine = nullptr;
+};
+
+/// The one single-pass typed transfer every direct-write protocol shares
+/// (rendezvous into a claimed posted receive, RMA puts into a target's
+/// receive layout): moves `total` bytes of `scount` x `stype` at `src`
+/// straight into `rcount` x `rtype` at `dst`, with no staging buffer.
+/// Dense to dense is one memcpy; a noncontiguous source gathers through
+/// its send plan; a noncontiguous destination scatters through its receive
+/// plan; when both are noncontiguous, engine chunks land through the
+/// receive plan's unpack_range. The engine-vs-plan rule lives here and
+/// nowhere else: plans run only when config.enable_plan_fastpath is on
+/// and `kind` is not SingleContext, and a source gathers through its plan
+/// only when that plan is specialized (Irregular sources stream through
+/// the engine, as in the two-sided persistent Pack). An explicit
+/// set_engine(SingleContext), the paper's baseline, therefore runs through
+/// its engine on every protocol, as the eager staging path always has.
+void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, void* dst,
+              std::size_t rcount, const dt::Datatype& rtype, std::size_t total,
+              const TransferCtx& ctx);
+
 /// Per-rank communicator handle. Not thread-safe; each rank thread owns one.
 class Comm {
 public:

@@ -116,6 +116,14 @@ std::size_t Win::region_bytes(int target) const {
     return shared_->regions[static_cast<std::size_t>(target)].bytes;
 }
 
+void Win::attach(void* base, std::size_t bytes) {
+    NNCOMM_CHECK_MSG(valid(), "attach() on null window");
+    NNCOMM_CHECK_MSG(base != nullptr || bytes == 0, "window region of null base");
+    NNCOMM_CHECK_MSG(!fence_open_ && !access_open_ && !exposure_open_,
+                     "attach() inside an open epoch");
+    shared_->regions[static_cast<std::size_t>(rank_)] = {static_cast<std::uint8_t*>(base), bytes};
+}
+
 void* Win::translate(int target, std::size_t offset, std::size_t bytes) {
     NNCOMM_CHECK_MSG(valid(), "translate() on null window");
     NNCOMM_CHECK_MSG(target >= 0 && target < shared_->nranks, "window target out of range");
@@ -125,15 +133,25 @@ void* Win::translate(int target, std::size_t offset, std::size_t bytes) {
     return reg.base + offset;
 }
 
-void Win::record_put(std::size_t bytes) {
+void Win::put(const void* src, std::size_t bytes, int target, std::size_t target_offset) {
+    void* dst = translate(target, target_offset, bytes);
+    if (bytes > 0) std::memcpy(dst, src, bytes);
     ++comm_->counters().rt_rma_puts;
     comm_->counters().rt_rma_put_bytes += bytes;
 }
 
-void Win::put(const void* src, std::size_t bytes, int target, std::size_t target_offset) {
-    void* dst = translate(target, target_offset, bytes);
-    if (bytes > 0) std::memcpy(dst, src, bytes);
-    record_put(bytes);
+void Win::put(const void* src, std::size_t count, const dt::Datatype& type, int target,
+              std::ptrdiff_t tdispl, std::size_t tcount, const dt::Datatype& ttype,
+              const TransferCtx& how) {
+    const std::size_t total = count * type.size();
+    NNCOMM_CHECK_MSG(total <= tcount * ttype.size(), "put longer than the target layout");
+    const auto [lo, hi] = ttype.flat().footprint(tcount);
+    NNCOMM_CHECK_MSG(tdispl + lo >= 0, "window access outside the target region");
+    auto* first = static_cast<std::byte*>(translate(
+        target, static_cast<std::size_t>(tdispl + lo), static_cast<std::size_t>(hi - lo)));
+    transfer(src, count, type, first - lo, tcount, ttype, total, how);
+    ++comm_->counters().rt_rma_puts;
+    comm_->counters().rt_rma_put_bytes += total;
 }
 
 void Win::get(void* dst, std::size_t bytes, int target, std::size_t target_offset) {

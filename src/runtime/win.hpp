@@ -4,10 +4,12 @@
 // writes straight into the target's memory, a get reads straight out of it,
 // and no envelope, matching, or clear-to-send traffic ever moves. On this
 // shared-address-space runtime the data transfer itself is a single memcpy
-// (or, for the persistent plans, a fused SIMD pack directly into the target
-// region via translate()); what the window machinery provides is the
-// *synchronization*: epochs that tell the target when remotely written data
-// is complete and may be read.
+// (or, for a typed put, one rt::transfer pass from the origin's layout
+// straight into the target's typed layout); what the window machinery
+// provides is the *synchronization*: epochs that tell the target when
+// remotely written data is complete and may be read. A rank may re-point
+// its own region between epochs (attach), so a persistent plan's window
+// follows the user's receive buffer instead of staging into a private one.
 //
 // Completion rides the seq-counter pulse infrastructure (comm.cpp), not
 // mailbox messages: an epoch transition stores its counter (release), then
@@ -65,19 +67,27 @@ public:
     /// Size in bytes of `target`'s exposed region.
     std::size_t region_bytes(int target) const;
 
+    /// Re-points this rank's own region at (`base`, `bytes`); no rank can
+    /// re-point another's. Only outside an open epoch (no pending fence, no
+    /// pscw access or exposure): peers read the new region once they
+    /// observe this rank's next fence or post, which publishes it.
+    void attach(void* base, std::size_t bytes);
+
     /// Bounds-checked pointer to `bytes` of `target`'s region starting at
-    /// `offset`. This is the fused pack+put entry: a persistent plan runs
-    /// its frozen SIMD pack kernels directly against this pointer, then
-    /// calls record_put() so the transfer is accounted. Raw access carries
-    /// the window's synchronization contract: write between your epoch
-    /// open and close, never outside.
+    /// `offset`. Raw access carries the window's synchronization contract:
+    /// write between your epoch open and close, never outside.
     void* translate(int target, std::size_t offset, std::size_t bytes);
 
     /// Contiguous one-sided transfers (memcpy + accounting).
     void put(const void* src, std::size_t bytes, int target, std::size_t target_offset);
     void get(void* dst, std::size_t bytes, int target, std::size_t target_offset);
-    /// Accounts a transfer performed through translate() as one put.
-    void record_put(std::size_t bytes);
+    /// Typed put: `count` x `type` at `src` land in `tcount` x `ttype`
+    /// whose base sits `tdispl` bytes into `target`'s region, in one
+    /// rt::transfer pass booked through `how`. The typed target footprint
+    /// must lie inside the region; it is checked before any byte lands.
+    void put(const void* src, std::size_t count, const dt::Datatype& type, int target,
+             std::ptrdiff_t tdispl, std::size_t tcount, const dt::Datatype& ttype,
+             const TransferCtx& how);
 
     /// Collective epoch close (see header comment). Nonblocking half-pair
     /// for schedule executors: fence_begin() announces arrival and returns;

@@ -418,8 +418,8 @@ TEST(RmaSchedule, OffsetExchangeIsSetupOnly) {
 
 TEST(RmaSchedule, PutBeatsTwoSidedOnNeighborExchange) {
     // Fig. 15 shape with memory copies and the rendezvous handshake
-    // priced: a put pays one fused copy and no handshake, the receiver
-    // unpacks locally, and the fence closes the epoch — cheaper than both
+    // priced: a put pays one copy straight into the receive layout and no
+    // handshake, and the fence closes the epoch — cheaper than both
     // the handshaking rendezvous path and the round-robin baseline.
     const int n = 32;
     auto c = make_uniform_cluster(n);

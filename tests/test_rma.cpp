@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "coll/persistent.hpp"
+#include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/protocol.hpp"
@@ -92,11 +94,79 @@ TEST(Win, OutOfBoundsTranslateThrows) {
     EXPECT_THROW(w.run([&](Comm& c) {
                      std::vector<std::uint8_t> region(64, 0);
                      Win win = Win::create(c, region.data(), region.size());
-                     // 60 + 8 > 64: the fused pack entry must reject it
+                     // 60 + 8 > 64: the raw entry must reject it
                      // before any byte lands.
                      if (c.rank() == 0) (void)win.translate(1, 60, 8);
                  }),
                  nncomm::Error);
+}
+
+// attach() re-points only the caller's own region, and only between
+// epochs; peers see the new region once the next fence publishes it.
+TEST(Win, AttachRepointsOwnRegionBetweenEpochs) {
+    World w(2);
+    w.run([&](Comm& c) {
+        const int r = c.rank();
+        std::vector<std::uint8_t> a(32, 0), b(96, 0);
+        Win win = Win::create(c, a.data(), a.size());
+        if (r == 0) {
+            win.post({1});
+            EXPECT_THROW(win.attach(b.data(), b.size()), nncomm::Error);  // exposure open
+            win.wait();
+        } else {
+            win.start({0});
+            EXPECT_THROW(win.attach(b.data(), b.size()), nncomm::Error);  // access open
+            win.complete();
+        }
+        win.fence_begin();
+        EXPECT_THROW(win.attach(b.data(), b.size()), nncomm::Error);  // fence pending
+        while (!win.fence_test()) std::this_thread::yield();
+
+        if (r == 1) win.attach(b.data(), b.size());
+        win.fence();
+        EXPECT_EQ(win.region_bytes(0), a.size());
+        EXPECT_EQ(win.region_bytes(1), b.size());
+        if (r == 0) {
+            const std::uint8_t v = 7;
+            win.put(&v, 1, 1, b.size() - 1);
+        }
+        win.fence();
+        if (r == 1) {
+            EXPECT_EQ(b.back(), 7);
+            EXPECT_EQ(a.back(), 0);  // the old region is no longer exposed
+        }
+        win.fence();
+    });
+}
+
+// A typed put is bounds-checked on its typed target footprint, not on its
+// data bytes: 4 doubles at stride 4 span 104 bytes, more than the 64-byte
+// region, although their 32 data bytes would fit. At stride 2 (56 bytes)
+// the same put lands.
+TEST(Win, TypedPutFootprintOutsideRegionThrows) {
+    World w(2);
+    w.run([&](Comm& c) {
+        std::vector<double> region(8, 0.0);
+        Win win = Win::create(c, region.data(), region.size() * sizeof(double));
+        if (c.rank() == 0) {
+            const std::array<double, 4> v{1.0, 2.0, 3.0, 4.0};
+            const rt::TransferCtx how{c.engine_kind(), c.engine_config(), c.counters(),
+                                      c.timers()};
+            const Datatype wide = Datatype::vector(4, 1, 4, Datatype::float64());
+            const Datatype fits = Datatype::vector(4, 1, 2, Datatype::float64());
+            EXPECT_THROW(win.put(v.data(), 4, Datatype::float64(), 1, 0, 1, wide, how),
+                         nncomm::Error);
+            win.put(v.data(), 4, Datatype::float64(), 1, 0, 1, fits, how);
+            EXPECT_EQ(c.counters().rt_rma_puts, 1u);
+            EXPECT_EQ(c.counters().rt_rma_put_bytes, 4 * sizeof(double));
+        }
+        win.fence();
+        if (c.rank() == 1) {
+            const std::array<double, 8> want{1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0};
+            EXPECT_EQ(0, std::memcmp(region.data(), want.data(), sizeof want));
+        }
+        win.fence();
+    });
 }
 
 TEST(Win, PutFenceMakesBytesVisibleEverywhere) {
@@ -293,10 +363,10 @@ TEST(RmaPlan, ScheduleShapePinned) {
         plan.execute(src.data(), dst.data());
 
         // Op census: open fence first, puts for the two nonzero
-        // destinations, close fence, unpacks for the two nonzero sources —
-        // and not a single matched Send/Recv anywhere.
+        // destinations straight into their receive layouts, close fence
+        // last — no unpack round and not a single matched Send/Recv.
         std::size_t fences = 0, puts = 0, unpacks = 0, sends = 0, recvs = 0;
-        std::size_t first_fence = SIZE_MAX, last_put = 0, close_fence = 0, first_unpack = SIZE_MAX;
+        std::size_t first_fence = SIZE_MAX, first_put = SIZE_MAX, last_put = 0, close_fence = 0;
         const auto& ops = plan.schedule().ops;
         for (std::size_t i = 0; i < ops.size(); ++i) {
             switch (ops[i].kind) {
@@ -304,8 +374,12 @@ TEST(RmaPlan, ScheduleShapePinned) {
                     if (fences == 0) first_fence = i; else close_fence = i;
                     ++fences;
                     break;
-                case coll::ScheduleOpKind::Put: ++puts; last_put = i; break;
-                case coll::ScheduleOpKind::Unpack: ++unpacks; first_unpack = std::min(first_unpack, i); break;
+                case coll::ScheduleOpKind::Put:
+                    ++puts;
+                    first_put = std::min(first_put, i);
+                    last_put = i;
+                    break;
+                case coll::ScheduleOpKind::Unpack: ++unpacks; break;
                 case coll::ScheduleOpKind::Send: ++sends; break;
                 case coll::ScheduleOpKind::Recv: ++recvs; break;
                 default: break;
@@ -313,12 +387,14 @@ TEST(RmaPlan, ScheduleShapePinned) {
         }
         EXPECT_EQ(fences, 2u);
         EXPECT_EQ(puts, 2u);
-        EXPECT_EQ(unpacks, 2u);
+        EXPECT_EQ(unpacks, 0u);
         EXPECT_EQ(sends, 0u);
         EXPECT_EQ(recvs, 0u);
         EXPECT_EQ(first_fence, 0u);
+        EXPECT_LT(first_fence, first_put);
         EXPECT_LT(last_put, close_fence);
-        EXPECT_LT(close_fence, first_unpack);
+        EXPECT_EQ(close_fence, ops.size() - 1);
+        EXPECT_EQ(plan.schedule().rounds, 3);
         c.barrier();
     });
 }
@@ -396,16 +472,34 @@ TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
 
 // Full perturbation matrix: 8 seeds x thresholds {0, 32 KiB, never} over a
 // mixed strided/contiguous/self/zero-edge pattern, RMA plan checked
-// bit-identically against a two-sided twin on every execute. The
-// rendezvous threshold steers the offset exchange and the twin; the same
-// value fed to small_msg_threshold steers the put binning.
+// bit-identically against a two-sided twin on every execute. The receive
+// side is noncontiguous too — a Strided layout for the left source, an
+// Irregular hindexed one for the opposite source — and the executes
+// alternate between two receive buffers, so a put must follow the target's
+// typed layout into whichever buffer the target's current execute named.
+// The rendezvous threshold steers the twin; the same value fed to
+// small_msg_threshold steers the put binning.
 TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
     constexpr int kRanks = 4;
     constexpr std::size_t kStride = 64;   // doubles picked by the strided type
     constexpr std::size_t kContig = 32;   // contiguous doubles to the opposite rank
     constexpr std::size_t kSelf = 16;
+    constexpr std::size_t kIrregAt = 2 * kStride;             // opposite block base
+    constexpr std::size_t kSelfAt = kIrregAt + 2 * kContig;   // self block base
     const std::size_t thresholds[] = {0, 32 * 1024, std::numeric_limits<std::size_t>::max()};
     const std::uint64_t seeds[] = {1, 2, 3, 5, 7, 11, 13, 17};
+    // Aperiodic jitter on a base stride of 2: neither constant-stride nor
+    // periodic, so the receive layout compiles to the Irregular plan class.
+    std::vector<std::size_t> irr_lens(kContig, 1);
+    std::vector<std::ptrdiff_t> irr_displs(kContig);
+    for (std::size_t j = 0; j < kContig; ++j) {
+        const auto jit = static_cast<std::ptrdiff_t>((j * 2654435761ULL >> 7) % 2);
+        irr_displs[j] = (2 * static_cast<std::ptrdiff_t>(j) + jit) *
+                        static_cast<std::ptrdiff_t>(sizeof(double));
+    }
+    const Datatype irregular = Datatype::hindexed(irr_lens, irr_displs, Datatype::float64());
+    ASSERT_EQ(irregular.plan().kernel(), dt::PackKernel::Irregular);
+    const Datatype strided = Datatype::vector(kStride, 1, 2, Datatype::float64());
     for (std::uint64_t seed : seeds) {
         for (std::size_t thr : thresholds) {
             World w(kRanks);
@@ -419,17 +513,12 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
                 const auto left = static_cast<std::size_t>((r + 3) % kRanks);
                 const auto self = static_cast<std::size_t>(r);
 
-                std::vector<double> src(512);
-                for (std::size_t i = 0; i < src.size(); ++i) {
-                    src[i] = static_cast<double>(seed % 97) +
-                             static_cast<double>(r) * 10000.0 + static_cast<double>(i);
-                }
                 std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
                 std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
                 std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
                 // right: 64 doubles picked stride-2 from offset 0
                 scounts[right] = 1;
-                stypes[right] = Datatype::vector(kStride, 1, 2, Datatype::float64());
+                stypes[right] = strided;
                 // opposite: 32 contiguous doubles from offset 128
                 scounts[opp] = kContig;
                 stypes[opp] = Datatype::float64();
@@ -439,15 +528,15 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
                 stypes[self] = Datatype::float64();
                 sdispls[self] = 256 * static_cast<std::ptrdiff_t>(sizeof(double));
 
-                rcounts[left] = kStride;
-                rtypes[left] = Datatype::float64();
-                rcounts[opp] = kContig;
-                rtypes[opp] = Datatype::float64();
-                rdispls[opp] = static_cast<std::ptrdiff_t>(kStride * sizeof(double));
+                // left lands stride-2, opposite lands irregular, self dense
+                rcounts[left] = 1;
+                rtypes[left] = strided;
+                rcounts[opp] = 1;
+                rtypes[opp] = irregular;
+                rdispls[opp] = static_cast<std::ptrdiff_t>(kIrregAt * sizeof(double));
                 rcounts[self] = kSelf;
                 rtypes[self] = Datatype::float64();
-                rdispls[self] =
-                    static_cast<std::ptrdiff_t>((kStride + kContig) * sizeof(double));
+                rdispls[self] = static_cast<std::ptrdiff_t>(kSelfAt * sizeof(double));
 
                 coll::CollConfig rma_cfg = proto_cfg(rt::Protocol::Rma);
                 rma_cfg.small_msg_threshold = thr;
@@ -459,19 +548,30 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
                                              rtypes, two_cfg);
                 EXPECT_EQ(rma_plan.rma(), rt::rma_selection_enabled());
 
-                std::vector<double> rma_dst(kStride + kContig + kSelf, 0.0);
-                std::vector<double> two_dst(rma_dst.size(), 0.0);
+                std::vector<double> src(512);
+                std::vector<double> rma_dst[2], two_dst[2];
+                for (int b = 0; b < 2; ++b) {
+                    rma_dst[b].assign(kSelfAt + kSelf, 0.0);
+                    two_dst[b].assign(kSelfAt + kSelf, 0.0);
+                }
                 for (int it = 0; it < 3; ++it) {
-                    rma_plan.execute(src.data(), rma_dst.data());
-                    two_plan.execute(src.data(), two_dst.data());
-                    ASSERT_EQ(0, std::memcmp(rma_dst.data(), two_dst.data(),
-                                             rma_dst.size() * sizeof(double)))
+                    for (std::size_t i = 0; i < src.size(); ++i) {
+                        src[i] = static_cast<double>(seed % 97) + static_cast<double>(r) * 10000.0 +
+                                 static_cast<double>(i) + 0.25 * it;
+                    }
+                    std::vector<double>& rd = rma_dst[it % 2];
+                    std::vector<double>& td = two_dst[it % 2];
+                    rma_plan.execute(src.data(), rd.data());
+                    two_plan.execute(src.data(), td.data());
+                    ASSERT_EQ(0, std::memcmp(rd.data(), td.data(), rd.size() * sizeof(double)))
                         << "seed " << seed << " thr " << thr << " it " << it;
-                    // Spot-check against the analytic expectation too.
+                    // Spot-check against the analytic expectation too: the
+                    // left source's second strided element lands in slot 2.
                     const int lrank = (r + 3) % kRanks;
-                    ASSERT_DOUBLE_EQ(rma_dst[1], static_cast<double>(seed % 97) +
-                                                     static_cast<double>(lrank) * 10000.0 + 2.0)
-                        << "seed " << seed << " thr " << thr;
+                    ASSERT_DOUBLE_EQ(rd[2], static_cast<double>(seed % 97) +
+                                                static_cast<double>(lrank) * 10000.0 + 2.0 +
+                                                0.25 * it)
+                        << "seed " << seed << " thr " << thr << " it " << it;
                 }
                 c.barrier();
             });
