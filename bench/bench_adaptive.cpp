@@ -106,7 +106,11 @@ double strided_exchange_ms(bool pipelined, std::uint64_t* pipelined_msgs, int it
         rcounts[static_cast<std::size_t>(peer)] = payload / sizeof(double);
         rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
 
-        coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes);
+        // Two-sided graph forced: the RMA lowering has no Pack+Send pair
+        // to fuse, so under Protocol::Auto this gate would measure nothing.
+        coll::CollConfig config;
+        config.persistent_protocol = rt::Protocol::Rendezvous;
+        coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes, config);
         for (int it = 0; it < 5; ++it) plan.execute(src.data(), dst.data());
         c.barrier();
         benchutil::Stopwatch sw;

@@ -13,11 +13,11 @@
 //
 //   - the binned send schedule (zero-volume peers exempted, small volumes
 //     before large) is compiled once at plan time,
-//   - each send peer owns a persistent staging slot and — for layouts whose
-//     compiled PackPlan is not specialized — a persistent pack engine that
-//     is reset(), never reconstructed, on each execute,
-//   - specialized layouts (contiguous / constant-stride) pack straight into
-//     the persistent slot through the plan kernels, no engine at all,
+//   - each send peer owns a persistent staging slot, packed by one
+//     rt::transfer pass: specialized layouts (contiguous / constant-stride)
+//     go straight through the plan kernels, no engine at all, wherever
+//     rt::use_plans allows plans; everything else runs a persistent pack
+//     engine that is reset(), never reconstructed, on each execute,
 //   - packed messages go on the wire as plain bytes, so the runtime's send
 //     path never builds a per-send engine either.
 //
@@ -52,7 +52,8 @@ class AlltoallwPlan {
 public:
     /// Captures the shape, bins the peers and compiles the schedule.
     /// `engine` selects the pack engine used for peers whose layout does
-    /// not compile to a specialized plan kernel. The engine configuration
+    /// not compile to a specialized plan kernel, and for every peer when
+    /// rt::use_plans(engine, config) forbids plans. The engine configuration
     /// is taken from `comm` at every execute, so config changes between
     /// executes rebuild the engines (and are counted).
     AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendcounts,

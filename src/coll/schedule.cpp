@@ -9,7 +9,6 @@
 #include "coll/schedule.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "coll/util.hpp"
 #include "datatype/pack.hpp"
@@ -799,53 +798,14 @@ void CollRequest::run_local(std::size_t i) {
             break;
         }
         case ScheduleOpKind::Pack: {
-            const std::byte* src = resolve(op.a);
-            auto& buf = staging_[static_cast<std::size_t>(op.slot)];
-            const dt::PackPlan& plan = op.type.plan();
-            if (plan.specialized()) {
-                // Contiguous / constant-stride layouts: the compiled kernel
-                // writes the persistent buffer directly — no engine, no
-                // scratch.
-                PhaseScope scope(step_timers_, Phase::Pack);
-                plan.pack(op.type.flat(), src, op.count, std::span<std::byte>(buf), &step_);
-                ++step_.plan_hits;
-                step_.bytes_packed += op.bytes;
-                break;
-            }
-            // Irregular layout: a persistent engine, constructed on the
-            // first execution and reset (not rebuilt) afterwards.
-            auto& eng = engines_[i];
-            if (!eng) {
-                eng = dt::make_engine(engine_kind_, src, op.type, op.count,
-                                      comm_->engine_config());
-            } else {
-                eng->reset(src);
-            }
-            std::size_t off = 0;
-            dt::ChunkView chunk;
-            while (eng->next_chunk(chunk)) {
-                if (chunk.dense) {
-                    PhaseScope scope(step_timers_, Phase::Pack);
-                    for (const auto& [ptr, len] : chunk.iov) {
-                        std::memcpy(buf.data() + off, ptr, len);
-                        off += len;
-                    }
-                } else {
-                    std::memcpy(buf.data() + off, chunk.packed.data(), chunk.packed.size());
-                    off += chunk.packed.size();
-                }
-            }
-            NNCOMM_CHECK(off == buf.size());
-            step_ += eng->counters();
-            step_timers_ += eng->timers();
-            eng->reset_stats();
-            break;
-        }
-        case ScheduleOpKind::Unpack: {
-            PhaseScope scope(step_timers_, Phase::Pack);
-            auto& buf = staging_[static_cast<std::size_t>(op.slot)];
-            dt::unpack_from(resolve(op.a), op.type, op.count,
-                            std::span<const std::byte>(buf), &step_);
+            // Into the persistent staging slot through the shared transfer
+            // routine; when that runs an engine, it is this op's persistent
+            // one, reset (not rebuilt) on every execute.
+            rt::transfer(resolve(op.a), op.count, op.type,
+                         staging_[static_cast<std::size_t>(op.slot)].data(),
+                         static_cast<std::size_t>(op.bytes), dt::Datatype::byte(),
+                         static_cast<std::size_t>(op.bytes),
+                         {engine_kind_, comm_->engine_config(), step_, step_timers_, &engines_[i]});
             break;
         }
         case ScheduleOpKind::Put: {
@@ -882,10 +842,14 @@ bool CollRequest::try_fused(std::size_t i) {
     const std::size_t total = static_cast<std::size_t>(snd.bytes);
     const std::size_t chunk = comm_->engine_config().pipeline_chunk;
     if (chunk == 0 || total <= chunk) return false;
+    // The producer packs through the send plan, so the pipeline runs only
+    // where rt::transfer would gather through it: plans allowed, and a
+    // specialized kernel (Irregular pack_range re-walks the layout to
+    // seek, which would make a k-chunk pipeline quadratic).
     const dt::PackPlan& plan = pk.type.plan();
-    // Irregular pack_range re-walks the layout to seek, which would make a
-    // k-chunk pipeline quadratic; only constant-stride kernels seek in O(1).
-    if (!plan.specialized()) return false;
+    if (!rt::use_plans(engine_kind_, comm_->engine_config()) || !plan.specialized()) {
+        return false;
+    }
 
     const std::byte* src = resolve(pk.a);
     auto& buf = staging_[static_cast<std::size_t>(pk.slot)];

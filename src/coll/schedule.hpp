@@ -3,8 +3,8 @@
 // Every collective in src/coll is split into two halves:
 //
 //   build — a pure function of (rank, size, shape) that emits a Schedule:
-//     a DAG of rounds whose ops are Send / Recv / Pack / Unpack / Reduce /
-//     Copy, each with explicit dependencies and a per-op rt::Protocol hint.
+//     a DAG of rounds whose ops are Send / Recv / Pack / Reduce / Copy /
+//     Put / Fence, each with explicit dependencies and a per-op rt::Protocol hint.
 //     Builders perform no communication, so the netsim LogGP model lowers
 //     the *same* Schedule objects into simulator programs — the predicted
 //     Fig. 14/15 curves and the executable collectives can no longer drift.
@@ -78,7 +78,7 @@ private:
 /// slot, no envelope, no matching, no unpack at the target), a Fence is the
 /// collective epoch boundary that rides the rt::Win seq-counter completion
 /// path. Neither touches the delivery engine.
-enum class ScheduleOpKind : std::uint8_t { Send, Recv, Copy, Pack, Unpack, Reduce, Put, Fence };
+enum class ScheduleOpKind : std::uint8_t { Send, Recv, Copy, Pack, Reduce, Put, Fence };
 
 /// Position-independent buffer reference, bound to concrete pointers at
 /// CollRequest::start(sendbuf, recvbuf). `None` means "no user buffer"
@@ -98,7 +98,7 @@ using ReduceFn = void (*)(ReduceOp, void* acc, const void* in, std::size_t n);
 /// One node of the schedule DAG. `deps` lists indices of ops (always
 /// earlier in the vector) that must retire before this op may run;
 /// receives additionally post as early as their deps allow so rendezvous
-/// senders find them. `slot` stages Pack/Unpack/Reduce/staged-Copy traffic
+/// senders find them. `slot` stages Pack/Reduce/staged-Copy traffic
 /// through the request's persistent staging buffers; a Send with a slot
 /// puts the packed staging bytes on the wire instead of the typed `a`.
 struct ScheduleOp {
@@ -108,7 +108,7 @@ struct ScheduleOp {
     int tag_offset = 0;  ///< tag = TagSpace::tag(tag_offset)
     rt::Protocol proto = rt::Protocol::Auto;  ///< Send volume hint
 
-    BufRef a;  ///< Send src / Recv dst / Copy src / Pack src / Unpack dst / Reduce acc
+    BufRef a;  ///< Send src / Recv dst / Copy src / Pack src / Reduce acc
     std::size_t count = 0;
     dt::Datatype type;
 

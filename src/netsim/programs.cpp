@@ -37,7 +37,7 @@ constexpr int kTagsPerRound = 256;
 // cannot drift from the implementation. Round structure maps directly:
 // within a round the executable engine fires its nonblocking sends before
 // parking on receives, so the sequential simulator emits the round's sends
-// first, then its receives. Local ops (Copy/Pack/Unpack/Reduce) are free in
+// first, then its receives. Local ops (Copy/Pack/Reduce) are free in
 // the LogGP model except datatype packing, which is charged as a Compute op
 // before each send when a pack model is supplied. `rank_order_sends`
 // re-sorts each round's sends by destination rank (the BinnedRankOrder

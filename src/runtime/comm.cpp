@@ -600,6 +600,18 @@ constexpr auto kSleepSlice = std::chrono::microseconds(200);
 /// always timed — their chunks amortize the clock.
 constexpr std::size_t kTimedCopyMinBytes = 4096;
 
+/// The wire layout of every staged payload, held once so the eager hot
+/// path never touches the shared type's reference count.
+const dt::Datatype& wire_bytes() {
+    static const dt::Datatype t = dt::Datatype::byte();
+    return t;
+}
+
+/// True when `t` is one dense run. The staged payload is dense by
+/// construction, so its side skips the flat() lookup (a std::call_once),
+/// which keeps small eager messages at the cost of a bare memcpy.
+bool dense(const dt::Datatype& t) { return &t == &wire_bytes() || t.flat().contiguous(); }
+
 /// Messages below this size never feed the protocol cost model: the two
 /// clock reads would outweigh the copy being measured, and the learned
 /// threshold is clamped above this anyway (ProtoTable::kMinThreshold).
@@ -789,11 +801,10 @@ Request Comm::irecv(void* buf, std::size_t count, const dt::Datatype& type, int 
     return irecv_ctx(buf, count, type, source, tag, context_);
 }
 
-/// Packs `buf` into an envelope exactly as the buffered-eager path always
-/// has: contiguous layouts in one copy, noncontiguous layouts through the
-/// configured pipelined engine, with the same Comm/Pack/Search accounting.
-/// The payload buffer comes from this rank's pool cache; zero-byte messages
-/// never touch the pool or the allocator at all.
+/// Packs `buf` into an envelope for the buffered-eager path through
+/// rt::transfer, with the same Comm/Pack/Search accounting as every other
+/// protocol. The payload buffer comes from this rank's pool cache;
+/// zero-byte messages never touch the pool or the allocator at all.
 Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
                              int dest, int tag, int context, std::size_t total) {
     NNCOMM_CHECK(type.valid());
@@ -813,43 +824,8 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
 
     env.payload = world_->pool.acquire(total, rank_, counters_);
     counters_.rt_bytes_copied += total;  // sender-side staging copy
-    const auto& flat = type.flat();
-    const bool fully_dense =
-        flat.contiguous() && static_cast<std::ptrdiff_t>(flat.size()) == flat.extent();
-    if (fully_dense) {
-        // Contiguous fast path: one copy onto the wire, all Comm time.
-        // Copies below the timing cutoff go unclocked: two steady_clock
-        // reads cost more than the copy itself and would dominate the
-        // small-message rate the transport is built for.
-        if (total >= kTimedCopyMinBytes) {
-            PhaseScope scope(timers_, Phase::Comm);
-            std::memcpy(env.payload.data(), buf, env.payload.size());
-        } else {
-            std::memcpy(env.payload.data(), buf, env.payload.size());
-        }
-    } else {
-        // Noncontiguous: pipelined chunks through the configured engine.
-        auto engine = dt::make_engine(engine_kind_, buf, type, count, engine_config_);
-        std::size_t off = 0;
-        dt::ChunkView chunk;
-        while (engine->next_chunk(chunk)) {
-            // Moving the chunk onto the wire is Comm time; the engine
-            // internally charged its Pack/Search time.
-            PhaseScope scope(timers_, Phase::Comm);
-            if (chunk.dense) {
-                for (const auto& [ptr, len] : chunk.iov) {
-                    std::memcpy(env.payload.data() + off, ptr, len);
-                    off += len;
-                }
-            } else {
-                std::memcpy(env.payload.data() + off, chunk.packed.data(), chunk.packed.size());
-                off += chunk.packed.size();
-            }
-        }
-        NNCOMM_CHECK(off == env.payload.size());
-        timers_ += engine->timers();
-        counters_ += engine->counters();
-    }
+    transfer(buf, count, type, env.payload.data(), total, wire_bytes(), total,
+             {engine_kind_, engine_config_, counters_, timers_});
     if (observe) {
         const auto& syn = world_->synthetic;
         world_->proto->observe_eager_send(
@@ -860,39 +836,88 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
     return env;
 }
 
+namespace {
+
+/// transfer()'s landing step: writes consecutive pieces of a packed byte
+/// stream into `count` x `type` at `base`, each at its running stream
+/// position — a memcpy into a dense layout, the receive plan's
+/// unpack_range where use_plans() allows, the cursor walk otherwise.
+/// Landing through the plan counts one plan hit per stream.
+class Landing {
+public:
+    Landing(void* base, std::size_t count, const dt::Datatype& type, bool plans,
+            StatCounters& counters)
+        : base_(static_cast<std::byte*>(base)),
+          count_(count),
+          type_(type),
+          flat_(type.flat()),
+          dense_(flat_.contiguous()),
+          plans_(plans),
+          cur_(&flat_, count),
+          counters_(counters) {
+        if (!dense_ && plans_) ++counters_.plan_hits;
+    }
+
+    bool dense() const { return dense_; }
+    std::uint64_t pos() const { return pos_; }
+
+    void operator()(const std::byte* p, std::size_t len) {
+        if (dense_) {
+            std::memcpy(base_ + pos_, p, len);
+        } else if (plans_) {
+            type_.plan().unpack_range(flat_, base_, count_, pos_, {p, len}, &counters_);
+        } else {
+            NNCOMM_CHECK(dt::unpack_bytes(base_, cur_, {p, len}) == len);
+        }
+        pos_ += len;
+    }
+
+private:
+    std::byte* base_;
+    std::size_t count_;
+    const dt::Datatype& type_;
+    const dt::FlatType& flat_;
+    bool dense_;
+    bool plans_;
+    dt::TypeCursor cur_;  ///< walked only off the plan fastpath
+    StatCounters& counters_;
+    std::uint64_t pos_ = 0;
+};
+
+}  // namespace
+
 void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, void* dst,
               std::size_t rcount, const dt::Datatype& rtype, std::size_t total,
               const TransferCtx& ctx) {
-    const auto& sflat = stype.flat();
-    const auto& rflat = rtype.flat();
-    const bool sdense = sflat.contiguous();
-    const bool rdense = rflat.contiguous();
-    const bool plans =
-        ctx.config.enable_plan_fastpath && ctx.kind != dt::EngineKind::SingleContext;
+    const bool sdense = dense(stype);
+    const bool rdense = dense(rtype);
     const auto* sbase = static_cast<const std::byte*>(src);
-    auto* rbase = static_cast<std::byte*>(dst);
 
     if (sdense && rdense) {
+        // Copies below the timing cutoff go unclocked: two steady_clock
+        // reads cost more than the copy and would dominate the
+        // small-message rate the eager transport is built for.
+        if (total < kTimedCopyMinBytes) {
+            std::memcpy(dst, src, total);
+            return;
+        }
         PhaseScope scope(ctx.timers, Phase::Comm);
-        std::memcpy(rbase, sbase, total);
+        std::memcpy(dst, src, total);
         return;
     }
-    if (rdense && plans && stype.plan().specialized()) {  // gather through the send plan
-        PhaseScope scope(ctx.timers, Phase::Pack);
+    const bool plans = use_plans(ctx.kind, ctx.config);
+    if (rdense && plans && stype.plan().specialized()) {
+        PhaseScope scope(ctx.timers, Phase::Pack);  // gather through the send plan
         ++ctx.counters.plan_hits;
         ctx.counters.bytes_packed += total;
-        stype.plan().pack(sflat, sbase, scount, {rbase, total}, &ctx.counters);
+        stype.plan().pack(stype.flat(), sbase, scount,
+                          {static_cast<std::byte*>(dst), total}, &ctx.counters);
         return;
     }
-    if (sdense) {  // scatter through the receive plan
+    Landing land(dst, rcount, rtype, plans, ctx.counters);
+    if (sdense) {  // scatter through the receive layout
         PhaseScope scope(ctx.timers, Phase::Pack);
-        if (plans) {
-            ++ctx.counters.plan_hits;
-            rtype.plan().unpack(rflat, rbase, rcount, {sbase, total}, &ctx.counters);
-        } else {
-            dt::TypeCursor cur(&rflat, rcount);
-            NNCOMM_CHECK(dt::unpack_bytes(rbase, cur, {sbase, total}) == total);
-        }
+        land(sbase, total);
         return;
     }
 
@@ -906,50 +931,90 @@ void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, vo
     } else {
         engine = dt::make_engine(ctx.kind, src, stype, scount, ctx.config);
     }
-    if (!rdense && plans) ++ctx.counters.plan_hits;
-    dt::TypeCursor cur(&rflat, rcount);  // used only off the plan fastpath
-    std::uint64_t pos = 0;
-    auto land = [&](const std::byte* p, std::size_t len) {
-        if (rdense) {
-            std::memcpy(rbase + pos, p, len);
-        } else if (plans) {
-            rtype.plan().unpack_range(rflat, rbase, rcount, pos, {p, len}, &ctx.counters);
-        } else {
-            NNCOMM_CHECK(dt::unpack_bytes(rbase, cur, {p, len}) == len);
-        }
-        pos += len;
-    };
     dt::ChunkView chunk;
     while (engine->next_chunk(chunk)) {
-        PhaseScope scope(ctx.timers, rdense ? Phase::Comm : Phase::Pack);
+        PhaseScope scope(ctx.timers, land.dense() ? Phase::Comm : Phase::Pack);
         if (chunk.dense) {
             for (const auto& [ptr, len] : chunk.iov) land(ptr, len);
         } else {
             land(chunk.packed.data(), chunk.packed.size());
         }
     }
-    NNCOMM_CHECK(pos == total);
+    NNCOMM_CHECK(land.pos() == total);
     ctx.timers += engine->timers();
     ctx.counters += engine->counters();
     engine->reset_stats();
 }
 
-/// Attempts the zero-copy rendezvous transfer: if the matching receive is
-/// already posted at the destination, the payload moves straight into the
-/// receiver's buffer in a single pass (memcpy for contiguous-to-contiguous,
-/// plan kernels or engine-chunk streaming otherwise) and no envelope buffer
-/// is ever allocated. Returns false — caller falls back to buffered eager —
-/// when the receive is not posted, the message is empty or below an Auto
-/// threshold, the hint forces Eager, or a SchedulePolicy is active (deferred
-/// envelopes must all route through the delivery queues to keep per-pair
-/// FIFO intact).
-///
 /// Order safety: our lane's `unconsumed` count must be zero — every earlier
 /// message of ours is fully matched — before a posted receive may be
 /// claimed. The count is decremented only after a match commit is published
 /// under posted_mu, so once we hold posted_mu the registry reflects all of
 /// our earlier traffic and claiming the earliest matching posted entry is
 /// exactly what arrival matching would have done.
+///
+/// The move runs while posted_mu pins the request: the receiver's wait()
+/// cannot observe a half-written buffer (matched is still false), an
+/// aborting world cannot unwind the receive out from under us, and the
+/// release-store on matched gives the bytes their happens-before edge into
+/// the receiving thread.
+template <typename Move>
+bool Comm::claim_posted(int dest, int tag, int context, std::size_t total, PackFamily family,
+                        Move&& move) {
+    NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
+    Envelope header;
+    header.source = rank_;
+    header.tag = tag;
+    header.context = context;
+
+    Mailbox& box = *world_->boxes[static_cast<std::size_t>(dest)];
+    detail::Lane& lane = box.lanes[static_cast<std::size_t>(rank_)];
+    if (lane.unconsumed.load(std::memory_order_acquire) != 0) {
+        return false;  // older messages of ours still in flight: keep FIFO, go eager
+    }
+
+    std::unique_lock<std::mutex> lk(box.posted_mu);
+    ++counters_.rt_lock_acquisitions;
+    std::shared_ptr<RequestState> r = detail::match_prq(box, header);
+    if (!r) return false;  // unposted: degrade to buffered eager
+    NNCOMM_CHECK_MSG(total <= r->type.size() * r->count, "message longer than receive buffer");
+
+    // Feed the rdzv cost line: the direct move below is the whole marginal
+    // cost the rendezvous protocol pays once the claim succeeded.
+    const bool observe =
+        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
+    std::chrono::steady_clock::time_point t0;
+    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
+
+    move(*r);
+
+    if (observe) {
+        const auto& syn = world_->synthetic;
+        world_->proto->observe_rdzv(
+            rank_, dest, family, static_cast<double>(total),
+            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
+        ++counters_.rt_proto_adapt_updates;
+    }
+
+    r->env = std::move(header);  // header only: carries source/tag for RecvStatus
+    r->direct_bytes = total;
+    r->zero_copy = true;
+    r->matched.store(true, std::memory_order_release);
+    lk.unlock();
+    detail::pulse(box, counters_, /*notify=*/true);
+    ++counters_.rt_zero_copy_msgs;
+    counters_.rt_bytes_copied += total;  // the single pass
+    return true;
+}
+
+/// Attempts the zero-copy rendezvous transfer: if the matching receive is
+/// already posted at the destination, the payload moves straight into the
+/// receiver's buffer in one rt::transfer pass and no envelope buffer is
+/// ever allocated. Returns false — caller falls back to buffered eager —
+/// when the receive is not posted, the message is empty or below an Auto
+/// threshold, the hint forces Eager, or a SchedulePolicy is active
+/// (deferred envelopes must all route through the delivery queues to keep
+/// per-pair FIFO intact).
 bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                           int tag, int context, Protocol proto, std::size_t total) {
     if (proto == Protocol::Eager || world_->policy.enabled) return false;
@@ -972,144 +1037,46 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
         }
         ++counters_.rt_proto_rdzv_chosen;
     }
-    NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
-
-    Envelope header;
-    header.source = rank_;
-    header.tag = tag;
-    header.context = context;
-
-    Mailbox& box = *world_->boxes[static_cast<std::size_t>(dest)];
-    detail::Lane& lane = box.lanes[static_cast<std::size_t>(rank_)];
-    if (lane.unconsumed.load(std::memory_order_acquire) != 0) {
-        return false;  // older messages of ours still in flight: keep FIFO, go eager
-    }
-
-    std::unique_lock<std::mutex> lk(box.posted_mu);
-    ++counters_.rt_lock_acquisitions;
-    std::shared_ptr<RequestState> r = detail::match_prq(box, header);
-    if (!r) return false;  // unposted: degrade to buffered eager
-    NNCOMM_CHECK_MSG(total <= r->type.size() * r->count, "message longer than receive buffer");
-
-    // Feed the rdzv cost line: the single direct pass below is the whole
-    // marginal cost the rendezvous protocol pays once the claim succeeded.
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    std::chrono::steady_clock::time_point t0;
-    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
-
-    // The copy runs while posted_mu pins the request: the receiver's wait()
-    // cannot observe a half-written buffer (matched is still false), an
-    // aborting world cannot unwind the receive out from under us, and the
-    // release-store on matched gives the bytes their happens-before edge
-    // into the receiving thread.
-    transfer(buf, count, type, r->buf, r->count, r->type, total,
-             {engine_kind_, engine_config_, counters_, timers_});
-
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_rdzv(
-            rank_, dest, family_of(type), static_cast<double>(total),
-            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
-
-    r->env = std::move(header);  // header only: carries source/tag for RecvStatus
-    r->direct_bytes = total;
-    r->zero_copy = true;
-    r->matched.store(true, std::memory_order_release);
-    lk.unlock();
-    detail::pulse(box, counters_, /*notify=*/true);
-    ++counters_.rt_zero_copy_msgs;
-    counters_.rt_bytes_copied += total;  // the single pass
-    return true;
+    return claim_posted(dest, tag, context, total, family_of(type), [&](RequestState& r) {
+        transfer(buf, count, type, r.buf, r.count, r.type, total,
+                 {engine_kind_, engine_config_, counters_, timers_});
+    });
 }
 
 /// Chunk-pipelined rendezvous for producer-driven staged sends: the fused
-/// Pack+Send path of coll::CollRequest. Claim logic is identical to
-/// try_rendezvous (same FIFO guard, same PRQ claim under posted_mu, same
-/// degradation rules); the difference is the copy loop — instead of packing
-/// the whole payload into a staging buffer and then copying it cold, the
+/// Pack+Send path of coll::CollRequest. The claim is try_rendezvous's
+/// (claim_posted); the difference is the move — instead of packing the
+/// whole payload into a staging buffer and then copying it cold, the
 /// producer fills one pipeline_chunk-sized slice at the front of `stage`
-/// and the slice is copied (or scattered) into the receiver's buffer while
-/// its bytes are still cache-hot, so the pack of chunk k+1 overlaps the
-/// copy of chunk k through the cache hierarchy.
+/// and transfer's landing step writes the slice into the receiver's buffer
+/// while its bytes are still cache-hot, so the pack of chunk k+1 overlaps
+/// the copy of chunk k through the cache hierarchy.
 bool Comm::try_rendezvous_staged_i(
     int dest, int tag, std::size_t total, PackFamily family, std::span<std::byte> stage,
     const std::function<void(std::uint64_t, std::span<std::byte>)>& produce) {
     if (world_->policy.enabled) return false;  // all policy traffic routes buffered
     if (total == 0) return false;
-    NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
     NNCOMM_CHECK_MSG(!stage.empty(), "pipelined rendezvous needs a staging window");
-    const int context = context_ + detail::kInternalContextOffset;
-
-    Envelope header;
-    header.source = rank_;
-    header.tag = tag;
-    header.context = context;
-
-    Mailbox& box = *world_->boxes[static_cast<std::size_t>(dest)];
-    detail::Lane& lane = box.lanes[static_cast<std::size_t>(rank_)];
-    if (lane.unconsumed.load(std::memory_order_acquire) != 0) {
-        return false;  // older messages of ours still in flight: keep FIFO
-    }
-
-    std::unique_lock<std::mutex> lk(box.posted_mu);
-    ++counters_.rt_lock_acquisitions;
-    std::shared_ptr<RequestState> r = detail::match_prq(box, header);
-    if (!r) return false;  // unposted: caller stages and sends buffered
-    const auto& rflat = r->type.flat();
-    NNCOMM_CHECK_MSG(total <= rflat.size() * r->count, "message longer than receive buffer");
-
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    const auto t0 = std::chrono::steady_clock::now();
-
-    const bool rdense =
-        rflat.contiguous() && static_cast<std::ptrdiff_t>(rflat.size()) == rflat.extent();
-    auto* rbase = static_cast<std::byte*>(r->buf);
     const std::size_t chunk = engine_config_.pipeline_chunk > 0
                                   ? std::min(engine_config_.pipeline_chunk, stage.size())
                                   : stage.size();
-    dt::TypeCursor cur(&rflat, r->count);  // used only off the plan fastpath
     std::uint64_t chunks = 0;
-    for (std::size_t pos = 0; pos < total; pos += chunk) {
-        const std::size_t n = std::min(chunk, total - pos);
-        std::span<std::byte> slice = stage.first(n);
-        produce(static_cast<std::uint64_t>(pos), slice);
-        const std::span<const std::byte> piece(slice.data(), n);
-        if (rdense) {
-            std::memcpy(rbase + pos, piece.data(), n);
-        } else if (engine_config_.enable_plan_fastpath) {
-            r->type.plan().unpack_range(rflat, rbase, r->count, pos, piece, &counters_);
-        } else {
-            const std::size_t u = dt::unpack_bytes(rbase, cur, piece);
-            NNCOMM_CHECK(u == n);
-        }
-        ++chunks;
-    }
-    timers_.add_ns(Phase::Comm,
-                   static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                                  std::chrono::steady_clock::now() - t0)
-                                                  .count()));
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_rdzv(
-            rank_, dest, family, static_cast<double>(total),
-            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
-
-    r->env = std::move(header);
-    r->direct_bytes = total;
-    r->zero_copy = true;
-    r->matched.store(true, std::memory_order_release);
-    lk.unlock();
-    detail::pulse(box, counters_, /*notify=*/true);
-    ++counters_.rt_zero_copy_msgs;
+    const bool claimed = claim_posted(
+        dest, tag, context_ + detail::kInternalContextOffset, total, family,
+        [&](RequestState& r) {
+            PhaseScope scope(timers_, Phase::Comm);  // the whole pack+copy loop
+            Landing land(r.buf, r.count, r.type, use_plans(engine_kind_, engine_config_),
+                         counters_);
+            for (std::size_t pos = 0; pos < total; pos += chunk) {
+                const std::span<std::byte> slice = stage.first(std::min(chunk, total - pos));
+                produce(static_cast<std::uint64_t>(pos), slice);
+                land(slice.data(), slice.size());
+                ++chunks;
+            }
+        });
+    if (!claimed) return false;
     ++counters_.rt_rdzv_pipelined_msgs;
     counters_.rt_rdzv_pipelined_chunks += chunks;
-    counters_.rt_bytes_copied += total;  // the copy-out pass
     return true;
 }
 
@@ -1382,44 +1349,19 @@ RecvStatus Comm::finish_recv(RequestState& req) {
     }
 
     // Unpack on the owning thread; only this rank's thread touches req now.
-    const auto& flat = req.type.flat();
-    const std::size_t capacity = flat.size() * req.count;
-    NNCOMM_CHECK_MSG(req.env.payload.size() <= capacity, "message longer than receive buffer");
-    if (!req.env.payload.empty()) {
-        counters_.rt_bytes_copied += req.env.payload.size();  // receive-side copy
+    const std::size_t total = req.env.payload.size();
+    NNCOMM_CHECK_MSG(total <= req.type.size() * req.count, "message longer than receive buffer");
+    if (total > 0) {
+        counters_.rt_bytes_copied += total;  // receive-side copy
         // Feed the eager_unpack cost line: the copy below is the
         // receiver-side half of the eager protocol's double copy. This
         // rank's thread is the line's single writer.
-        const std::size_t total = req.env.payload.size();
         const bool observe =
             total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
         std::chrono::steady_clock::time_point t0;
         if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
-        if (flat.contiguous() && static_cast<std::ptrdiff_t>(flat.size()) == flat.extent()) {
-            if (req.env.payload.size() >= kTimedCopyMinBytes) {
-                PhaseScope scope(timers_, Phase::Comm);
-                std::memcpy(req.buf, req.env.payload.data(), req.env.payload.size());
-            } else {
-                std::memcpy(req.buf, req.env.payload.data(), req.env.payload.size());
-            }
-        } else {
-            // Receive-side scatter through the compiled plan kernel (every
-            // class); cursor walk only behind the fastpath escape hatch.
-            PhaseScope scope(timers_, Phase::Pack);
-            const std::span<const std::byte> payload(req.env.payload.data(),
-                                                     req.env.payload.size());
-            const dt::PackPlan& plan = req.type.plan();
-            if (engine_config_.enable_plan_fastpath) {
-                ++counters_.plan_hits;
-                plan.unpack(flat, static_cast<std::byte*>(req.buf), req.count, payload,
-                            &counters_);
-            } else {
-                dt::TypeCursor cur(&flat, req.count);
-                const std::size_t n =
-                    dt::unpack_bytes(static_cast<std::byte*>(req.buf), cur, payload);
-                NNCOMM_CHECK(n == req.env.payload.size());
-            }
-        }
+        transfer(req.env.payload.data(), total, wire_bytes(), req.buf, req.count, req.type,
+                 total, {engine_kind_, engine_config_, counters_, timers_});
         if (observe) {
             const auto& syn = world_->synthetic;
             world_->proto->observe_eager_unpack(
@@ -1431,7 +1373,7 @@ RecvStatus Comm::finish_recv(RequestState& req) {
     }
     req.status.source = req.env.source;
     req.status.tag = req.env.tag;
-    req.status.bytes = req.env.payload.size();
+    req.status.bytes = total;
     // Recycle through this rank's pool cache for future sends.
     world_->pool.release(std::move(req.env.payload), rank_, counters_);
     req.complete = true;

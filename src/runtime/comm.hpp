@@ -7,11 +7,12 @@
 // buffers on both sides.
 //
 // The send path is where the paper's datatype engines plug in: every
-// noncontiguous send is driven through a pipelined PackEngine
-// (SingleContext = the MPICH2 baseline with the quadratic re-search,
-// DualContext = the paper's §4.1 design), selected per-Comm via
-// set_engine(). Phase timers accumulate Comm / Pack / Search time exactly
-// as Figure 13 reports them.
+// typed byte move runs through rt::transfer, which drives a pipelined
+// PackEngine (SingleContext = the MPICH2 baseline with the quadratic
+// re-search, DualContext = the paper's §4.1 design), selected per-Comm via
+// set_engine(), or a compiled plan kernel where rt::use_plans allows one.
+// Phase timers accumulate Comm / Pack / Search time exactly as Figure 13
+// reports them.
 //
 // This runtime is the substrate standing in for MVAPICH2 on the paper's
 // InfiniBand cluster: all algorithmic behaviour (matching, ordering,
@@ -160,6 +161,13 @@ private:
     std::shared_ptr<detail::RequestState> state_;
 };
 
+/// The engine-vs-plan rule, stated once: compiled plans run only when
+/// the fastpath is on and the engine is not the paper's SingleContext
+/// baseline. rt::transfer and coll::CollRequest::try_fused both ask this.
+inline bool use_plans(dt::EngineKind kind, const dt::EngineConfig& config) {
+    return config.enable_plan_fastpath && kind != dt::EngineKind::SingleContext;
+}
+
 /// Which engine transfer() may run and where it books its work.
 /// `engine`, when set, is a persistent engine slot: reset instead of
 /// rebuilt, so repeated transfers of one layout construct nothing.
@@ -171,20 +179,26 @@ struct TransferCtx {
     std::unique_ptr<dt::PackEngine>* engine = nullptr;
 };
 
-/// The one single-pass typed transfer every direct-write protocol shares
-/// (rendezvous into a claimed posted receive, RMA puts into a target's
-/// receive layout): moves `total` bytes of `scount` x `stype` at `src`
-/// straight into `rcount` x `rtype` at `dst`, with no staging buffer.
-/// Dense to dense is one memcpy; a noncontiguous source gathers through
-/// its send plan; a noncontiguous destination scatters through its receive
-/// plan; when both are noncontiguous, engine chunks land through the
-/// receive plan's unpack_range. The engine-vs-plan rule lives here and
-/// nowhere else: plans run only when config.enable_plan_fastpath is on
-/// and `kind` is not SingleContext, and a source gathers through its plan
-/// only when that plan is specialized (Irregular sources stream through
-/// the engine, as in the two-sided persistent Pack). An explicit
-/// set_engine(SingleContext), the paper's baseline, therefore runs through
-/// its engine on every protocol, as the eager staging path always has.
+/// The one single-pass typed transfer: moves `total` bytes of `scount` x
+/// `stype` at `src` straight into `rcount` x `rtype` at `dst`. Every typed
+/// byte move of the runtime and the collectives goes through it:
+///   - eager staging: the send buffer into the pool payload (pack_envelope),
+///   - eager completion: the payload into the posted receive (finish_recv),
+///   - rendezvous: the send buffer into a claimed posted receive,
+///   - RMA: a put into the target's typed receive layout (Win::put),
+///   - persistent plans: a Pack op into its staging slot, through the
+///     op's persistent engine.
+/// The pipelined rendezvous (Comm::try_rendezvous_staged_i) lands its
+/// slices through transfer's landing step. Dense to dense is one memcpy,
+/// left untimed below 4 KiB where the clock would cost more than the copy.
+/// A noncontiguous source gathers through its send plan; a noncontiguous
+/// destination scatters through its receive plan; when both are
+/// noncontiguous, engine chunks land through the receive plan's
+/// unpack_range. Plans run only where use_plans() allows, and a source
+/// gathers through its plan only when that plan is specialized (Irregular
+/// sources stream through the engine). An explicit
+/// set_engine(SingleContext), the paper's baseline, therefore runs its
+/// engine and cursor on every protocol.
 void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, void* dst,
               std::size_t rcount, const dt::Datatype& rtype, std::size_t total,
               const TransferCtx& ctx);
@@ -393,6 +407,14 @@ private:
                                    int dest, int tag, int context, std::size_t total);
     bool try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                         int tag, int context, Protocol proto, std::size_t total);
+    /// The claim/complete half both rendezvous paths share: claims the
+    /// posted receive at `dest` matching (this rank, tag, context) under
+    /// the FIFO lane guard, runs `move(request)` while posted_mu pins it,
+    /// then publishes the match and wakes the receiver. False when the
+    /// receive is not posted or older messages of ours are unmatched.
+    template <typename Move>
+    bool claim_posted(int dest, int tag, int context, std::size_t total, PackFamily family,
+                      Move&& move);
     /// Returns a fresh receive request, recycling an idle RequestState from
     /// this communicator's cache when one is free (use_count == 1 means
     /// only the cache still references it).

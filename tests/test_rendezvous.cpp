@@ -287,6 +287,82 @@ TEST(Rendezvous, NoncontiguousLayoutsTransferZeroCopy) {
     }
 }
 
+// The engine-vs-plan rule does not depend on which protocol won: a
+// SingleContext strided->strided message runs the engine on the sender and
+// never a receive plan, whether it moved by rendezvous (receive posted
+// first, threshold 0) or buffered eager (threshold SIZE_MAX). The
+// DualContext twin runs plans under both. The bytes land identically in
+// all four runs.
+TEST(Rendezvous, SameEngineCountersUnderEitherProtocol) {
+    constexpr std::size_t kN = 4096;
+    const Datatype strided = Datatype::vector(kN, 1, 2, Datatype::float64());
+
+    struct Run {
+        StatCounters sender, receiver;
+        std::vector<double> landed;
+    };
+    auto run = [&](dt::EngineKind kind, std::size_t threshold) {
+        Run out;
+        World w(2);
+        w.run([&](Comm& c) {
+            c.set_engine(kind);
+            c.set_rendezvous_threshold(threshold);
+            if (c.rank() == 1) {
+                std::vector<double> in(2 * kN - 1, -1.0);
+                Request r = c.irecv(in.data(), 1, strided, 0, kDataTag);
+                int token = 1;
+                c.send_n(&token, 1, 0, kTokenTag);  // receive is now posted
+                c.wait(r);
+                out.receiver = c.counters();
+                out.landed = std::move(in);
+            } else {
+                std::vector<double> src(2 * kN - 1, -7.0);
+                for (std::size_t i = 0; i < kN; ++i) src[2 * i] = static_cast<double>(i) * 0.25;
+                int token = 0;
+                c.recv_n(&token, 1, 1, kTokenTag);
+                c.reset_stats();
+                c.send(src.data(), 1, strided, 1, kDataTag);
+                out.sender = c.counters();
+            }
+        });
+        return out;
+    };
+
+    const std::size_t kRendezvous = 0;
+    const std::size_t kEager = std::numeric_limits<std::size_t>::max();
+    const Run base_rdv = run(dt::EngineKind::SingleContext, kRendezvous);
+    const Run base_eager = run(dt::EngineKind::SingleContext, kEager);
+    const Run dual_rdv = run(dt::EngineKind::DualContext, kRendezvous);
+    const Run dual_eager = run(dt::EngineKind::DualContext, kEager);
+
+    EXPECT_EQ(base_rdv.sender.rt_zero_copy_msgs, 1u);
+    EXPECT_EQ(dual_rdv.sender.rt_zero_copy_msgs, 1u);
+    EXPECT_EQ(base_eager.sender.rt_zero_copy_msgs, 0u);
+    EXPECT_EQ(dual_eager.sender.rt_zero_copy_msgs, 0u);
+
+    for (const Run* r : {&base_rdv, &base_eager}) {
+        EXPECT_EQ(r->receiver.plan_hits, 0u);
+        EXPECT_GT(r->sender.engine_builds, 0u);
+    }
+    for (const Run* r : {&dual_rdv, &dual_eager}) {
+        EXPECT_GT(r->sender.plan_hits + r->receiver.plan_hits, 0u);
+    }
+    EXPECT_GT(dual_eager.receiver.plan_hits, 0u);  // the eager scatter ran the receive plan
+
+    for (const Run* r : {&base_eager, &dual_rdv, &dual_eager}) {
+        ASSERT_EQ(r->landed.size(), base_rdv.landed.size());
+        EXPECT_EQ(std::memcmp(r->landed.data(), base_rdv.landed.data(),
+                              base_rdv.landed.size() * sizeof(double)),
+                  0);
+    }
+    for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(base_rdv.landed[2 * i], static_cast<double>(i) * 0.25) << "elem " << i;
+        if (i + 1 < kN) {
+            ASSERT_EQ(base_rdv.landed[2 * i + 1], -1.0) << "gap " << i;
+        }
+    }
+}
+
 TEST(Rendezvous, PayloadPoolRecyclesInSteadyState) {
     constexpr std::size_t kBytes = 4096;
     constexpr int kRounds = 32;

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -768,6 +769,82 @@ TEST_P(PerturbedSeed, NetsimRoutedScheduleDrivesCollectives) {
     });
     // The latency model adds at least one defer pass to every message.
     EXPECT_GT(deferrals.load(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// persistent two-sided plans and the engine-vs-plan rule
+
+// A two-sided AlltoallwPlan obeys rt::use_plans like every other transfer:
+// with the SingleContext engine or with the fastpath off, its Pack ops run
+// their persistent engines (built once, then reset), no plan kernel lands
+// a byte, and the plan-driven pipelined rendezvous stays off. The blocks
+// are 512 B, above the engines' density threshold, so the engines stream
+// them as dense chunks and plan_hits counts only what the rule decides.
+// The output is bit-identical to the shipping DualContext, fastpath-on plan.
+TEST(PersistentPlan, TwoSidedPlansObeyTheEngineRule) {
+    constexpr std::size_t kBlocks = 256, kBlockLen = 64, kStride = 128;  // doubles
+    const Datatype strided = Datatype::vector(kBlocks, kBlockLen, kStride, Datatype::float64());
+    const std::size_t span = (kBlocks - 1) * kStride + kBlockLen;
+
+    struct Run {
+        StatCounters steady;
+        std::vector<double> out;
+    };
+    auto run = [&](dt::EngineKind kind, bool fastpath) {
+        std::vector<Run> runs(2);
+        World w(2);
+        w.run([&](Comm& c) {
+            dt::EngineConfig cfg;
+            cfg.enable_plan_fastpath = fastpath;
+            c.set_engine(kind);
+            c.set_engine_config(cfg);
+            const std::size_t peer = static_cast<std::size_t>(1 - c.rank());
+            std::vector<std::size_t> counts(2, 0);
+            counts[peer] = 1;
+            const std::vector<std::ptrdiff_t> displs(2, 0);
+            const std::vector<Datatype> types(2, strided);
+            CollConfig config;
+            config.persistent_protocol = rt::Protocol::Rendezvous;
+            coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types, config,
+                                     kind);
+            ASSERT_FALSE(plan.rma());
+
+            std::vector<double> src(span), dst(span, -1.0);
+            for (std::size_t i = 0; i < span; ++i) {
+                src[i] = static_cast<double>(c.rank() * 100000 + static_cast<int>(i));
+            }
+            plan.execute(src.data(), dst.data());  // builds the persistent engines
+            c.reset_stats();
+            for (int exec = 0; exec < 3; ++exec) plan.execute(src.data(), dst.data());
+            Run& r = runs[static_cast<std::size_t>(c.rank())];
+            r.steady = c.counters();
+            r.out = std::move(dst);
+        });
+        return runs;
+    };
+
+    const std::vector<Run> shipping = run(dt::EngineKind::DualContext, true);
+    for (const Run& r : shipping) EXPECT_GT(r.steady.plan_hits, 0u);
+
+    const std::pair<dt::EngineKind, bool> rule_off[] = {
+        {dt::EngineKind::SingleContext, true}, {dt::EngineKind::DualContext, false}};
+    for (const auto& [kind, fastpath] : rule_off) {
+        const std::vector<Run> runs = run(kind, fastpath);
+        for (std::size_t rank = 0; rank < runs.size(); ++rank) {
+            const Run& r = runs[rank];
+            SCOPED_TRACE(std::string(dt::engine_kind_name(kind)) +
+                         (fastpath ? " fastpath on" : " fastpath off") + ", rank " +
+                         std::to_string(rank));
+            EXPECT_EQ(r.steady.persistent_executes, 3u);
+            EXPECT_EQ(r.steady.plan_hits, 0u);
+            EXPECT_EQ(r.steady.engine_builds, 0u);
+            EXPECT_EQ(r.steady.rt_rdzv_pipelined_msgs, 0u);
+            ASSERT_EQ(r.out.size(), shipping[rank].out.size());
+            EXPECT_EQ(std::memcmp(r.out.data(), shipping[rank].out.data(),
+                                  r.out.size() * sizeof(double)),
+                      0);
+        }
+    }
 }
 
 }  // namespace
