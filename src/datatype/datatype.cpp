@@ -21,10 +21,10 @@ struct TypeNode {
     std::vector<Datatype> children;
 
     std::size_t count = 0;
-    std::size_t blocklength = 0;        // Vector/Hvector/IndexedBlock
+    std::size_t blocklength = 0;        // Vector/Hvector/IndexedBlock (one for all blocks)
     std::ptrdiff_t stride_bytes = 0;    // Hvector (Vector lowered to bytes)
     std::vector<std::size_t> blocklengths;      // Indexed/Hindexed/Struct
-    std::vector<std::ptrdiff_t> displs_bytes;   // byte displacements
+    std::vector<std::ptrdiff_t> displs_bytes;   // Indexed/Hindexed/IndexedBlock/Struct
 
     // Cached layout properties (computed at construction).
     std::size_t size = 0;
@@ -56,17 +56,39 @@ NodePtr new_node(TypeClass cls) {
 const TypeNode& node_of(const Datatype& t);
 
 // Emits the blocks of one instance of `t` displaced by `base` into `b`.
-void emit_blocks(const Datatype& t, std::ptrdiff_t base, FlatBuilder& b);
+// `Sink` is FlatBuilder or BlockCounter (flatten.hpp): flat() runs the same
+// walk twice, counting first so the builder reserves exactly what survives
+// merging.
+template <class Sink>
+void emit_blocks(const Datatype& t, std::ptrdiff_t base, Sink& b);
 
-void emit_child_instances(const Datatype& child, std::ptrdiff_t base, std::size_t n,
-                          FlatBuilder& b) {
+template <class Sink>
+void emit_child_instances(const Datatype& child, std::ptrdiff_t base, std::size_t n, Sink& b) {
     const std::ptrdiff_t ext = child.extent();
     for (std::size_t i = 0; i < n; ++i) {
         emit_blocks(child, base + static_cast<std::ptrdiff_t>(i) * ext, b);
     }
 }
 
-void emit_blocks(const Datatype& t, std::ptrdiff_t base, FlatBuilder& b) {
+// Emits block i of an hvector/indexed node: `len(i)` child instances
+// `start(i)` bytes past `base`, one run per block when the child is dense.
+// The child's properties are read once, outside the per-block loop.
+template <class Sink, class Start, class Len>
+void emit_runs(const Datatype& child, std::ptrdiff_t base, std::size_t count, Start start,
+               Len len, Sink& b) {
+    if (child.is_contiguous()) {
+        const std::ptrdiff_t at = base + child.lb();
+        const std::size_t csize = child.size();
+        for (std::size_t i = 0; i < count; ++i) b.add(at + start(i), len(i) * csize);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            emit_child_instances(child, base + start(i), len(i), b);
+        }
+    }
+}
+
+template <class Sink>
+void emit_blocks(const Datatype& t, std::ptrdiff_t base, Sink& b) {
     const TypeNode& n = node_of(t);
     switch (n.cls) {
         case TypeClass::Builtin:
@@ -81,31 +103,22 @@ void emit_blocks(const Datatype& t, std::ptrdiff_t base, FlatBuilder& b) {
             }
             break;
         case TypeClass::Vector:  // lowered to byte stride at construction
-        case TypeClass::Hvector: {
-            const std::ptrdiff_t ext = n.child.extent();
-            for (std::size_t i = 0; i < n.count; ++i) {
-                const std::ptrdiff_t start =
-                    base + static_cast<std::ptrdiff_t>(i) * n.stride_bytes;
-                if (n.child.is_contiguous()) {
-                    b.add(start + n.child.lb(), n.blocklength * n.child.size());
-                } else {
-                    emit_child_instances(n.child, start, n.blocklength, b);
-                }
-                (void)ext;
-            }
+        case TypeClass::Hvector:
+            emit_runs(
+                n.child, base, n.count,
+                [&](std::size_t i) { return static_cast<std::ptrdiff_t>(i) * n.stride_bytes; },
+                [&](std::size_t) { return n.blocklength; }, b);
             break;
-        }
+        case TypeClass::IndexedBlock:
+            emit_runs(
+                n.child, base, n.count, [&](std::size_t i) { return n.displs_bytes[i]; },
+                [&](std::size_t) { return n.blocklength; }, b);
+            break;
         case TypeClass::Indexed:
         case TypeClass::Hindexed:
-        case TypeClass::IndexedBlock:
-            for (std::size_t i = 0; i < n.blocklengths.size(); ++i) {
-                const std::ptrdiff_t start = base + n.displs_bytes[i];
-                if (n.child.is_contiguous()) {
-                    b.add(start + n.child.lb(), n.blocklengths[i] * n.child.size());
-                } else {
-                    emit_child_instances(n.child, start, n.blocklengths[i], b);
-                }
-            }
+            emit_runs(
+                n.child, base, n.count, [&](std::size_t i) { return n.displs_bytes[i]; },
+                [&](std::size_t i) { return n.blocklengths[i]; }, b);
             break;
         case TypeClass::Struct:
             for (std::size_t i = 0; i < n.children.size(); ++i) {
@@ -185,7 +198,9 @@ std::size_t Datatype::block_count() const { return flat().block_count(); }
 const FlatType& Datatype::flat() const {
     const TypeNode& n = *raw(*this);
     std::call_once(n.flat_once, [&] {
-        FlatBuilder b;
+        BlockCounter c;
+        detail::emit_blocks(*this, 0, c);
+        FlatBuilder b(c.count());
         detail::emit_blocks(*this, 0, b);
         n.flat = std::make_unique<FlatType>(b.take(), n.extent(), n.lb);
     });
@@ -283,38 +298,45 @@ Datatype Datatype::hvector(std::size_t count, std::size_t blocklength,
 }
 
 namespace {
-Datatype make_indexed_bytes(TypeClass cls, std::vector<std::size_t> blocklengths,
-                            std::vector<std::ptrdiff_t> displs_bytes, const Datatype& oldtype) {
+// Fills an indexed-family node's byte displacements (displacements[i] *
+// unit) and, in the same pass, its size and bounds; block i holds `len(i)`
+// child instances. Empty blocks add no bounds (MPI ignores them for
+// lb/ub). The child's properties are read once, outside the loop.
+template <class Len>
+void fill_indexed(TypeNode& n, std::span<const std::ptrdiff_t> displacements,
+                  std::ptrdiff_t unit, Len len) {
+    const std::size_t csize = n.child.size();
+    const std::ptrdiff_t clb = n.child.lb();
+    const std::ptrdiff_t cext = n.child.extent();
+    n.count = displacements.size();
+    n.displs_bytes.reserve(n.count);
+    std::size_t total = 0;
+    std::ptrdiff_t lo = PTRDIFF_MAX, hi = PTRDIFF_MIN;
+    for (std::size_t i = 0; i < n.count; ++i) {
+        const std::ptrdiff_t d = displacements[i] * unit;
+        n.displs_bytes.push_back(d);
+        const std::size_t bl = len(i);
+        if (bl == 0) continue;
+        total += bl;
+        lo = std::min(lo, d + clb);
+        hi = std::max(hi, d + clb + static_cast<std::ptrdiff_t>(bl) * cext);
+    }
+    n.size = total * csize;
+    n.lb = total == 0 ? 0 : lo;
+    n.ub = total == 0 ? 0 : hi;
+    detail::finish_layout(n);
+}
+
+Datatype make_indexed(TypeClass cls, std::span<const std::size_t> blocklengths,
+                      std::span<const std::ptrdiff_t> displacements, std::ptrdiff_t unit,
+                      const Datatype& oldtype) {
     NNCOMM_CHECK(oldtype.valid());
-    NNCOMM_CHECK_MSG(blocklengths.size() == displs_bytes.size(),
+    NNCOMM_CHECK_MSG(blocklengths.size() == displacements.size(),
                      "indexed: blocklengths/displacements length mismatch");
     auto n = detail::new_node(cls);
     n->child = oldtype;
-    n->blocklengths = std::move(blocklengths);
-    n->displs_bytes = std::move(displs_bytes);
-    n->count = n->blocklengths.size();
-    std::size_t total = 0;
-    std::ptrdiff_t lo = 0, hi = 0;
-    bool first = true;
-    for (std::size_t i = 0; i < n->count; ++i) {
-        total += n->blocklengths[i] * oldtype.size();
-        if (n->blocklengths[i] == 0) continue;
-        const std::ptrdiff_t b0 = n->displs_bytes[i] + oldtype.lb();
-        const std::ptrdiff_t b1 =
-            b0 + static_cast<std::ptrdiff_t>(n->blocklengths[i]) * oldtype.extent();
-        if (first) {
-            lo = b0;
-            hi = b1;
-            first = false;
-        } else {
-            lo = std::min(lo, b0);
-            hi = std::max(hi, b1);
-        }
-    }
-    n->size = total;
-    n->lb = first ? 0 : lo;
-    n->ub = first ? 0 : hi;
-    detail::finish_layout(*n);
+    n->blocklengths.assign(blocklengths.begin(), blocklengths.end());
+    fill_indexed(*n, displacements, unit, [&](std::size_t i) { return blocklengths[i]; });
     return DatatypeAccess::wrap(std::move(n));
 }
 }  // namespace
@@ -322,34 +344,27 @@ Datatype make_indexed_bytes(TypeClass cls, std::vector<std::size_t> blocklengths
 Datatype Datatype::indexed(std::span<const std::size_t> blocklengths,
                            std::span<const std::ptrdiff_t> displacements,
                            const Datatype& oldtype) {
-    std::vector<std::ptrdiff_t> displs_bytes(displacements.size());
-    for (std::size_t i = 0; i < displacements.size(); ++i) {
-        displs_bytes[i] = displacements[i] * oldtype.extent();
-    }
-    return make_indexed_bytes(TypeClass::Indexed,
-                              std::vector<std::size_t>(blocklengths.begin(), blocklengths.end()),
-                              std::move(displs_bytes), oldtype);
+    return make_indexed(TypeClass::Indexed, blocklengths, displacements, oldtype.extent(),
+                        oldtype);
 }
 
 Datatype Datatype::hindexed(std::span<const std::size_t> blocklengths,
                             std::span<const std::ptrdiff_t> displacements_bytes,
                             const Datatype& oldtype) {
-    return make_indexed_bytes(
-        TypeClass::Hindexed, std::vector<std::size_t>(blocklengths.begin(), blocklengths.end()),
-        std::vector<std::ptrdiff_t>(displacements_bytes.begin(), displacements_bytes.end()),
-        oldtype);
+    return make_indexed(TypeClass::Hindexed, blocklengths, displacements_bytes, 1, oldtype);
 }
 
 Datatype Datatype::indexed_block(std::size_t blocklength,
                                  std::span<const std::ptrdiff_t> displacements,
                                  const Datatype& oldtype) {
-    std::vector<std::size_t> lens(displacements.size(), blocklength);
-    std::vector<std::ptrdiff_t> displs_bytes(displacements.size());
-    for (std::size_t i = 0; i < displacements.size(); ++i) {
-        displs_bytes[i] = displacements[i] * oldtype.extent();
-    }
-    return make_indexed_bytes(TypeClass::IndexedBlock, std::move(lens), std::move(displs_bytes),
-                              oldtype);
+    // One blocklength for every block: the node stores it once, next to the
+    // byte displacements, instead of an n-long blocklength vector.
+    NNCOMM_CHECK(oldtype.valid());
+    auto n = detail::new_node(TypeClass::IndexedBlock);
+    n->child = oldtype;
+    n->blocklength = blocklength;
+    fill_indexed(*n, displacements, oldtype.extent(), [=](std::size_t) { return blocklength; });
+    return DatatypeAccess::wrap(std::move(n));
 }
 
 Datatype Datatype::struct_type(std::span<const std::size_t> blocklengths,

@@ -83,9 +83,35 @@ private:
     std::ptrdiff_t data_ub_ = 0;
 };
 
-/// Builder used by Datatype::flat(): appends blocks, merging adjacencies.
+/// Counts the blocks FlatBuilder keeps for the same add() sequence (same
+/// merge rule), so Datatype::flat() can reserve exactly that many before
+/// building: a type whose runs all merge reserves one block, not one per run.
+class BlockCounter {
+public:
+    void add(std::ptrdiff_t offset, std::size_t length) {
+        if (length == 0) return;
+        if (count_ == 0 || end_ != offset) {
+            ++count_;
+            NNCOMM_CHECK_MSG(count_ <= kMaxBlocks, "datatype too fragmented to flatten");
+        }
+        end_ = offset + static_cast<std::ptrdiff_t>(length);
+    }
+
+    std::size_t count() const { return count_; }
+
+    static constexpr std::size_t kMaxBlocks = std::size_t{1} << 27;  // 128M blocks
+
+private:
+    std::size_t count_ = 0;
+    std::ptrdiff_t end_ = 0;  ///< one past the last kept block
+};
+
+/// Builder used by Datatype::flat(): appends blocks, merging adjacencies,
+/// into storage reserved up front for `blocks` (BlockCounter's count).
 class FlatBuilder {
 public:
+    explicit FlatBuilder(std::size_t blocks) { blocks_.reserve(blocks); }
+
     void add(std::ptrdiff_t offset, std::size_t length) {
         if (length == 0) return;
         if (!blocks_.empty()) {
@@ -96,12 +122,9 @@ public:
             }
         }
         blocks_.push_back(FlatBlock{offset, length});
-        NNCOMM_CHECK_MSG(blocks_.size() <= kMaxBlocks, "datatype too fragmented to flatten");
     }
 
     std::vector<FlatBlock> take() { return std::move(blocks_); }
-
-    static constexpr std::size_t kMaxBlocks = std::size_t{1} << 27;  // 128M blocks
 
 private:
     std::vector<FlatBlock> blocks_;

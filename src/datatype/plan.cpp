@@ -13,24 +13,41 @@ namespace nncomm::dt {
 
 namespace {
 
+// splitmix64's finalizer: a bijection with full avalanche.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+// The PlanCache trusts this key (with size, extent and block count) as
+// structural identity, so a collision would pack through the wrong plan.
+// Every 64-bit word is folded in as h = mix64(h ^ w). For a fixed state
+// that step is a bijection in w, and for a fixed w a bijection in h, so two
+// layouts that differ in a single word never collide; any other difference
+// collides with probability ~2^-64. Blocks go round-robin to four
+// independent lanes so the mixer's latency overlaps; a final chain folds
+// the lanes into extent, lb and block count.
 std::uint64_t structural_signature(const FlatType& flat) {
-    // FNV-1a over the full flattened structure plus extent/lb. Two types
-    // with equal signatures and equal scalar summaries are treated as
-    // structurally identical by the cache.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
+    constexpr int kLanes = 4;
+    std::uint64_t lane[kLanes] = {0x9e3779b97f4a7c15ULL, 0xc2b2ae3d27d4eb4fULL,
+                                  0x165667b19e3779f9ULL, 0x27d4eb2f165667c5ULL};
+    auto fold = [](std::uint64_t& h, const FlatBlock& b) {
+        h = mix64(h ^ static_cast<std::uint64_t>(b.offset));
+        h = mix64(h ^ b.length);
     };
-    mix(static_cast<std::uint64_t>(flat.extent()));
-    mix(static_cast<std::uint64_t>(flat.lb()));
-    mix(flat.block_count());
-    for (const FlatBlock& b : flat.blocks()) {
-        mix(static_cast<std::uint64_t>(b.offset));
-        mix(b.length);
+    const auto& blocks = flat.blocks();
+    const std::size_t B = blocks.size();
+    std::size_t i = 0;
+    for (; i + kLanes <= B; i += kLanes) {
+        for (int l = 0; l < kLanes; ++l) fold(lane[l], blocks[i + static_cast<std::size_t>(l)]);
     }
+    for (int l = 0; i < B; ++i, ++l) fold(lane[l], blocks[i]);
+
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(flat.extent()));
+    h = mix64(h ^ static_cast<std::uint64_t>(flat.lb()));
+    h = mix64(h ^ B);
+    for (const std::uint64_t l : lane) h = mix64(h ^ l);
     return h;
 }
 
@@ -68,10 +85,14 @@ bool detect_blocked(const std::vector<FlatBlock>& blocks, std::size_t& inner,
 // compilation
 
 PackPlan PackPlan::compile(const FlatType& flat) {
+    return compile(flat, structural_signature(flat));
+}
+
+PackPlan PackPlan::compile(const FlatType& flat, std::uint64_t signature) {
     PackPlan p;
     p.instance_size_ = flat.size();
     p.extent_ = flat.extent();
-    p.signature_ = structural_signature(flat);
+    p.signature_ = signature;
 
     const auto& blocks = flat.blocks();
     if (blocks.empty()) {
@@ -467,19 +488,28 @@ PlanCache::Impl& PlanCache::impl() const {
 
 std::shared_ptr<const PackPlan> PlanCache::get(const Datatype& type) {
     const FlatType& flat = type.flat();
-    // Compile outside the lock; on a race the loser's compile is discarded.
-    auto plan = std::make_shared<const PackPlan>(PackPlan::compile(flat));
-    const Impl::Key key{plan->signature(), flat.size(), flat.extent(), flat.block_count()};
-
+    const Impl::Key key{structural_signature(flat), flat.size(), flat.extent(),
+                        flat.block_count()};
     Impl& im = impl();
-    std::lock_guard<std::mutex> lk(im.mu);
-    auto it = im.index.find(key.sig);
-    if (it != im.index.end() && it->second->key == key) {
+    // Hits return here, having paid only for the signature.
+    auto lookup = [&]() -> std::shared_ptr<const PackPlan> {
+        auto it = im.index.find(key.sig);
+        if (it == im.index.end() || !(it->second->key == key)) return nullptr;
         ++im.st.hits;
         im.lru.splice(im.lru.begin(), im.lru, it->second);
         return im.lru.front().plan;
+    };
+    {
+        std::lock_guard<std::mutex> lk(im.mu);
+        if (auto hit = lookup()) return hit;
     }
+
+    // Compile outside the lock; on a race the loser's compile is discarded.
+    auto plan = std::make_shared<const PackPlan>(PackPlan::compile(flat, key.sig));
+    std::lock_guard<std::mutex> lk(im.mu);
+    if (auto hit = lookup()) return hit;
     ++im.st.misses;
+    auto it = im.index.find(key.sig);
     if (it != im.index.end()) {
         // Signature collision with a structurally different type: replace.
         im.lru.erase(it->second);

@@ -31,7 +31,7 @@
 // each Datatype node memoizes its plan (Datatype::plan()), and a
 // process-wide LRU cache keyed by the flattened structural signature
 // shares one compiled plan between structurally equal types built
-// independently (e.g. the per-peer hindexed types two VecScatters plan
+// independently (e.g. the per-peer indexed_block types two VecScatters plan
 // over the same index pattern).
 #pragma once
 
@@ -130,6 +130,11 @@ public:
     }
 
 private:
+    friend class PlanCache;
+    /// compile() with the structural signature already computed (the
+    /// cache computes it first, to look the plan up).
+    static PackPlan compile(const FlatType& flat, std::uint64_t signature);
+
     PackKernel kernel_ = PackKernel::Irregular;
     std::size_t instance_size_ = 0;      ///< data bytes per instance
     std::ptrdiff_t extent_ = 0;          ///< instance stride in memory

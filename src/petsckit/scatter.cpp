@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <type_traits>
 
 #include "runtime/sparse.hpp"
 
@@ -11,14 +12,27 @@ namespace nncomm::pk {
 namespace {
 constexpr int kScatterTag = 0x5CA7;  // hand-tuned backend's user-level tag
 
+// Local element offsets as element displacements: one double per block
+// (PETSc's MPI_Type_create_indexed_block).
+static_assert(std::is_same_v<Index, std::ptrdiff_t>, "offsets double as displacements");
 dt::Datatype offsets_type(const std::vector<Index>& offsets) {
-    std::vector<std::size_t> lens(offsets.size(), 1);
-    std::vector<std::ptrdiff_t> displs(offsets.size());
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-        displs[i] = static_cast<std::ptrdiff_t>(offsets[i]) * 8;
-    }
-    return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
+    return dt::Datatype::indexed_block(1, offsets, dt::Datatype::float64());
 }
+
+// Layout::owner with the last answer's range memoized: consecutive entries
+// of a scatter mostly share a peer, so most lookups are two compares.
+struct OwnerCache {
+    const Layout& layout;
+    OwnershipRange last{};
+    int rank = -1;
+    int operator()(Index g) {
+        if (!last.contains(g)) {
+            rank = layout.owner(g);
+            last = layout.range(rank);
+        }
+        return rank;
+    }
+};
 }  // namespace
 
 VecScatter::VecScatter(rt::Comm& comm, const Layout& src_layout, const IndexSet& is_src,
@@ -30,36 +44,67 @@ VecScatter::VecScatter(rt::Comm& comm, const Layout& src_layout, const IndexSet&
     const int rank = comm.rank();
     NNCOMM_CHECK_MSG(src_layout.size() == n && dst_layout.size() == n,
                      "VecScatter: layouts must match the communicator");
-    src_local_ = src_layout.range(rank).count();
-    dst_local_ = dst_layout.range(rank).count();
-
-    const Index src_begin = src_layout.range(rank).begin;
-    const Index dst_begin = dst_layout.range(rank).begin;
+    const OwnershipRange src_own = src_layout.range(rank);
+    const OwnershipRange dst_own = dst_layout.range(rank);
+    src_local_ = src_own.count();
+    dst_local_ = dst_own.count();
 
     // Every rank walks the full replicated pair list; entries are grouped
     // by peer in k order, so sender and receiver enumerate each pair's
-    // elements identically.
-    std::map<int, PeerPlan> send_map, recv_map;
-    for (std::size_t k = 0; k < is_src.size(); ++k) {
-        const Index gs = is_src[k];
-        const Index gd = is_dst[k];
-        const int so = src_layout.owner(gs);
-        const int dow = dst_layout.owner(gd);
-        if (so == rank && dow == rank) {
-            self_src_.push_back(gs - src_begin);
-            self_dst_.push_back(gd - dst_begin);
-        } else if (so == rank) {
-            auto& plan = send_map[dow];
-            plan.rank = dow;
-            plan.offsets.push_back(gs - src_begin);
-        } else if (dow == rank) {
-            auto& plan = recv_map[so];
-            plan.rank = so;
-            plan.offsets.push_back(gd - dst_begin);
+    // elements identically. Each entry is tested against this rank's own
+    // ranges; only entries touching this rank look up their peer. The walk
+    // runs twice — counting, then filling buckets sized exactly — so no
+    // bucket ever grows by reallocation.
+    const std::span<const Index> src_idx = is_src.indices(), dst_idx = is_dst.indices();
+    const auto src_n = static_cast<std::uint64_t>(src_layout.global());
+    const auto dst_n = static_cast<std::uint64_t>(dst_layout.global());
+    auto walk = [&](auto&& self, auto&& send, auto&& recv) {
+        OwnerCache src_owner{src_layout}, dst_owner{dst_layout};
+        for (std::size_t k = 0; k < src_idx.size(); ++k) {
+            const Index gs = src_idx[k];
+            const Index gd = dst_idx[k];
+            // Unsigned compares reject negative indices too.
+            NNCOMM_CHECK_MSG(static_cast<std::uint64_t>(gs) < src_n &&
+                                 static_cast<std::uint64_t>(gd) < dst_n,
+                             "VecScatter: index out of range");
+            const bool mine_s = src_own.contains(gs);
+            const bool mine_d = dst_own.contains(gd);
+            if (mine_s && mine_d) {
+                self(gs - src_own.begin, gd - dst_own.begin);
+            } else if (mine_s) {
+                send(dst_owner(gd), gs - src_own.begin);
+            } else if (mine_d) {
+                recv(src_owner(gs), gd - dst_own.begin);
+            }
         }
-    }
-    for (auto& [r, plan] : send_map) sends_.push_back(std::move(plan));
-    for (auto& [r, plan] : recv_map) recvs_.push_back(std::move(plan));
+    };
+
+    const auto nn = static_cast<std::size_t>(n);
+    std::size_t nself = 0;
+    std::vector<std::size_t> send_at(nn, 0), recv_at(nn, 0);  // counts, then plan slots
+    walk([&](Index, Index) { ++nself; },
+         [&](int r, Index) { ++send_at[static_cast<std::size_t>(r)]; },
+         [&](int r, Index) { ++recv_at[static_cast<std::size_t>(r)]; });
+
+    auto make_plans = [](std::vector<std::size_t>& at, std::vector<PeerPlan>& plans) {
+        for (std::size_t r = 0; r < at.size(); ++r) {
+            if (at[r] == 0) continue;
+            plans.push_back(PeerPlan{static_cast<int>(r), {}});
+            plans.back().offsets.reserve(at[r]);
+            at[r] = plans.size() - 1;
+        }
+    };
+    make_plans(send_at, sends_);
+    make_plans(recv_at, recvs_);
+    self_src_.reserve(nself);
+    self_dst_.reserve(nself);
+    walk(
+        [&](Index s, Index d) {
+            self_src_.push_back(s);
+            self_dst_.push_back(d);
+        },
+        [&](int r, Index s) { sends_[send_at[static_cast<std::size_t>(r)]].offsets.push_back(s); },
+        [&](int r, Index d) { recvs_[recv_at[static_cast<std::size_t>(r)]].offsets.push_back(d); });
 
     finalize_plans(n, rank);
 }

@@ -9,8 +9,8 @@
 //
 //   HandTuned         — PETSc's default: explicit pack loops and individual
 //                       isend/irecv per peer (the "hand-tuned" series).
-//   DatatypeBaseline  — MPI derived datatypes (per-peer hindexed over the
-//                       vector storage) + the round-robin Alltoallw + the
+//   DatatypeBaseline  — MPI derived datatypes (per-peer indexed_block over
+//                       the vector storage) + the round-robin Alltoallw + the
 //                       single-context pack engine: the MVAPICH2-0.9.5
 //                       series.
 //   DatatypeOptimized — the same derived datatypes + the binned Alltoallw +
@@ -187,8 +187,8 @@ private:
     std::vector<Index> self_dst_;
     std::vector<std::uint64_t> send_bytes_;  ///< per rank, bytes
 
-    // Prebuilt per-peer hindexed datatypes for the datatype backends
-    // (absolute byte offsets into the vectors' local storage).
+    // Prebuilt per-peer indexed_block datatypes for the datatype backends
+    // (element offsets into the vectors' local storage).
     std::vector<std::size_t> w_sendcounts_, w_recvcounts_;
     std::vector<std::ptrdiff_t> w_sdispls_, w_rdispls_;
     std::vector<dt::Datatype> w_sendtypes_, w_recvtypes_;

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "datatype/pack.hpp"
 #include "datatype/plan.hpp"
 #include "petsckit/scatter.hpp"
 
@@ -144,6 +145,77 @@ TEST(PlanCacheTest, StructurallyEqualTypesShareOnePlan) {
     (void)a.plan();
     st = cache.stats();
     EXPECT_EQ(st.hits + st.misses, 3u);
+}
+
+// The cache trusts (signature, size, extent, block count) as structural
+// identity. Layouts sharing size, extent and block count but differing in
+// their offsets — one block shifted, two blocks swapped, lengths traded
+// between blocks — must get distinct signatures and plans, and every plan
+// must pack its own layout's bytes.
+TEST(PlanCacheTest, EqualSummariesWithDifferentOffsetsNeverShare) {
+    auto& cache = PlanCache::instance();
+    cache.reset();
+
+    auto layout = [](std::vector<std::size_t> lens, std::vector<std::ptrdiff_t> displs) {
+        // Resized to one fixed frame so lb and extent agree across variants.
+        return Datatype::resized(Datatype::hindexed(lens, displs, Datatype::byte()), 0, 128);
+    };
+    std::vector<Datatype> types = {
+        layout({8, 8, 8, 8}, {0, 24, 40, 72}),   // base
+        layout({8, 8, 8, 8}, {8, 24, 40, 72}),   // first block shifted
+        layout({8, 8, 8, 8}, {0, 24, 40, 80}),   // last block shifted
+        layout({8, 8, 8, 8}, {24, 0, 40, 72}),   // first two blocks swapped
+        layout({8, 8, 8, 8}, {0, 40, 24, 72}),   // middle blocks swapped
+        layout({16, 8, 4, 4}, {0, 24, 40, 72}),  // lengths traded
+        layout({4, 4, 8, 16}, {0, 24, 40, 72}),  // ... the other way round
+        layout({8, 8, 8, 8}, {0, 16, 32, 48}),   // Strided ...
+        layout({8, 8, 8, 8}, {8, 24, 40, 56}),   // ... shifted as a whole
+        layout({8, 8, 8, 8}, {0, 24, 48, 72}),   // ... another stride
+    };
+    // Every single-block shift by 8 bytes of a longer list, plus adjacent
+    // swaps: many near-identical layouts sharing one summary.
+    std::vector<std::ptrdiff_t> base;
+    for (std::ptrdiff_t i = 0; i < 12; ++i) base.push_back(i * 10 - (i % 3));
+    const std::vector<std::size_t> lens(base.size(), 2);
+    auto frame = [&](const std::vector<std::ptrdiff_t>& d) {
+        return Datatype::resized(Datatype::hindexed(lens, d, Datatype::byte()), 0, 160);
+    };
+    types.push_back(frame(base));
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        auto shifted = base;
+        shifted[i] += 4;
+        types.push_back(frame(shifted));
+        if (i + 1 < base.size()) {
+            auto swapped = base;
+            std::swap(swapped[i], swapped[i + 1]);
+            types.push_back(frame(swapped));
+        }
+    }
+
+    std::vector<std::byte> buf(160);
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::byte>(i * 7 + 1);
+    for (std::size_t i = 0; i < types.size(); ++i) {
+        const Datatype& a = types[i];
+        for (std::size_t j = 0; j < i; ++j) {
+            const Datatype& b = types[j];
+            if (a.size() != b.size() || a.extent() != b.extent() ||
+                a.block_count() != b.block_count()) {
+                continue;
+            }
+            EXPECT_NE(a.plan().signature(), b.plan().signature()) << i << " vs " << j;
+            EXPECT_NE(&a.plan(), &b.plan()) << i << " vs " << j;
+        }
+        // Packs through its own plan exactly what the cursor reference packs.
+        std::vector<std::byte> out(a.size()), ref(a.size());
+        a.plan().pack(a.flat(), buf.data(), 1, std::span<std::byte>(out));
+        dt::TypeCursor cur(&a.flat(), 1);
+        dt::pack_bytes(buf.data(), cur, std::span<std::byte>(ref));
+        EXPECT_EQ(out, ref) << "type " << i << " kernel "
+                            << dt::pack_kernel_name(a.plan().kernel());
+    }
+    const auto st = cache.stats();
+    EXPECT_EQ(st.misses, types.size());  // one compile per layout, no false sharing
+    EXPECT_EQ(st.hits, 0u);
 }
 
 TEST(PlanCacheTest, LeastRecentlyUsedIsEvicted) {

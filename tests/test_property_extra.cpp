@@ -7,6 +7,7 @@
 #include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -263,6 +264,91 @@ TEST_P(PlanKernelProperty, KernelsAreByteIdenticalToReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PlanKernelProperty, ::testing::Range<std::uint64_t>(1, 81));
+
+// ---------------------------------------------------------------------------
+// the compact IndexedBlock node vs its hindexed spelling
+
+// indexed_block(bl, displs, child) means hindexed with every blocklength bl
+// and displacements scaled by the child's extent. The IndexedBlock node
+// stores bl once instead of an n-long blocklength vector; everything
+// observable must still agree with the hindexed construction.
+void expect_indexed_block_matches_hindexed(std::size_t bl,
+                                           const std::vector<std::ptrdiff_t>& displs,
+                                           const Datatype& child, std::size_t count) {
+    std::vector<std::size_t> lens(displs.size(), bl);
+    std::vector<std::ptrdiff_t> bytes(displs.size());
+    for (std::size_t i = 0; i < displs.size(); ++i) bytes[i] = displs[i] * child.extent();
+    const Datatype a = Datatype::indexed_block(bl, displs, child);
+    const Datatype b = Datatype::hindexed(lens, bytes, child);
+    const std::string what = a.describe() + " bl=" + std::to_string(bl);
+
+    EXPECT_EQ(a.type_class(), dt::TypeClass::IndexedBlock);
+    // Bounds straight from the MPI definition: the lowest/highest child
+    // instance of any (non-empty) block.
+    std::ptrdiff_t lb = 0, ub = 0;
+    if (bl > 0 && !displs.empty()) {
+        const auto [dmin, dmax] = std::minmax_element(bytes.begin(), bytes.end());
+        lb = *dmin + child.lb();
+        ub = *dmax + child.lb() + static_cast<std::ptrdiff_t>(bl) * child.extent();
+    }
+    EXPECT_EQ(a.lb(), lb) << a.describe();
+    EXPECT_EQ(a.extent(), ub - lb) << a.describe();
+    EXPECT_EQ(a.size(), b.size()) << what;
+    EXPECT_EQ(a.lb(), b.lb()) << what;
+    EXPECT_EQ(a.extent(), b.extent()) << what;
+    EXPECT_EQ(a.is_contiguous(), b.is_contiguous()) << what;
+    const auto& fa = a.flat().blocks();
+    const auto& fb = b.flat().blocks();
+    ASSERT_EQ(fa.size(), fb.size()) << what;
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+        EXPECT_EQ(fa[i].offset, fb[i].offset) << what << " block " << i;
+        EXPECT_EQ(fa[i].length, fb[i].length) << what << " block " << i;
+    }
+    EXPECT_EQ(a.plan().kernel(), b.plan().kernel()) << what;
+    EXPECT_EQ(a.plan().signature(), b.plan().signature()) << what;
+
+    // Packed bytes through each type's plan, over a buffer covering the
+    // footprint (displacements may be negative).
+    const auto [first, last] = a.flat().footprint(count);
+    const std::ptrdiff_t lo = std::min<std::ptrdiff_t>(first, 0);
+    std::vector<std::byte> buf(static_cast<std::size_t>(std::max<std::ptrdiff_t>(last, 0) - lo));
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::byte>(i * 31 + 7);
+    const std::byte* base = buf.data() - lo;
+    std::vector<std::byte> pa(a.size() * count), pb(b.size() * count);
+    a.plan().pack(a.flat(), base, count, std::span<std::byte>(pa));
+    b.plan().pack(b.flat(), base, count, std::span<std::byte>(pb));
+    EXPECT_EQ(pa, pb) << what;
+    EXPECT_EQ(pa, reference_pack(base, a, count)) << what;
+}
+
+TEST(IndexedBlock, MatchesUniformHindexed) {
+    const Datatype f64 = Datatype::float64();
+    const Datatype strided = Datatype::vector(3, 1, 2, f64);  // non-contiguous child
+    // Zero blocklength: no data, no bounds.
+    expect_indexed_block_matches_hindexed(0, {0, 3, 5}, f64, 2);
+    // Empty displacement list.
+    expect_indexed_block_matches_hindexed(2, {}, f64, 1);
+    // Negative displacements move lb below zero.
+    expect_indexed_block_matches_hindexed(1, {-4, 2, -1}, f64, 2);
+    // Adjacent blocks merge in the flattened form.
+    expect_indexed_block_matches_hindexed(2, {0, 2, 4, 10}, f64, 3);
+    expect_indexed_block_matches_hindexed(1, {5, 6, 7, 8}, Datatype::int32(), 2);
+    // Non-contiguous child: each block expands to strided child instances.
+    expect_indexed_block_matches_hindexed(2, {0, 3, -2}, strided, 2);
+    expect_indexed_block_matches_hindexed(1, {1, 0}, Datatype::resized(f64, 0, 24), 2);
+
+    // Random shapes over the same children.
+    Rng rng(4241);
+    const Datatype children[] = {f64, Datatype::int32(), strided,
+                                 Datatype::resized(Datatype::int32(), -4, 12)};
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t bl = rng.uniform_u64(0, 3);
+        std::vector<std::ptrdiff_t> displs(rng.uniform_u64(0, 7));
+        for (auto& d : displs) d = static_cast<std::ptrdiff_t>(rng.uniform_u64(0, 16)) - 8;
+        expect_indexed_block_matches_hindexed(bl, displs, children[rng.uniform_u64(0, 3)],
+                                              rng.uniform_u64(1, 3));
+    }
+}
 
 // ---------------------------------------------------------------------------
 // collective fuzzing: all allgatherv algorithms agree on random volume sets

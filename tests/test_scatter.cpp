@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <numeric>
 
 #include "petsckit/scatter.hpp"
@@ -196,6 +198,120 @@ TEST(Scatter, MismatchedIndexSetsRejected) {
                      VecScatter sc(src, IndexSet::identity(4), dst, IndexSet::identity(3));
                  }),
                  nncomm::Error);
+}
+
+// Every rank must reject a bad index, including ranks whose own ranges the
+// entry never touches: the planning walk looks up a peer only for entries
+// touching this rank, so on those ranks only the range check stands
+// between a bad index and a silently dropped pair.
+TEST(Scatter, OutOfRangeIndexRejectedOnEveryRank) {
+    constexpr int kRanks = 4;
+    constexpr Index n = 16;  // 4 entries per rank
+    // One pair per case: one half out of range, the other inside rank 3's
+    // range, so ranks 0-2 own neither half.
+    const std::pair<Index, Index> cases[] = {{-1, 13}, {n, 13}, {13, -1}, {13, n}};
+    for (const auto& [from, to] : cases) {
+        World w(kRanks);
+        std::atomic<int> rejected{0};
+        EXPECT_THROW(w.run([&, from = from, to = to](Comm& c) {
+                         Vec src(c, n), dst(c, n);
+                         try {
+                             VecScatter sc(src, IndexSet::general({from}), dst,
+                                           IndexSet::general({to}));
+                         } catch (const nncomm::Error&) {
+                             ++rejected;
+                             throw;
+                         }
+                     }),
+                     nncomm::Error)
+            << "pair (" << from << ", " << to << ")";
+        EXPECT_EQ(rejected.load(), kRanks) << "pair (" << from << ", " << to << ")";
+    }
+}
+
+// The per-peer types are indexed_block(1, offsets, float64). They must
+// flatten exactly like the equivalent hindexed(1, offsets * 8, float64)
+// types, so the baseline engine's Fig. 13 counters (search and pack work
+// per block) are those of the hindexed spelling: the DatatypeBaseline
+// execute must count what a round-robin, single-context alltoallw over the
+// hindexed types counts, and move the same bytes.
+TEST(Scatter, PeerTypesCountLikeHindexedBaseline) {
+    constexpr int kRanks = 4;
+    World w(kRanks);
+    w.run([](Comm& c) {
+        const Index n = 256;
+        Vec src(c, n);
+        fill_global_identity(src);
+        // An irregular permutation with some adjacent runs (blocks merge).
+        std::vector<Index> to(static_cast<std::size_t>(n));
+        for (Index k = 0; k < n; ++k) {
+            to[static_cast<std::size_t>(k)] = ((k / 3) * 37 % (n / 3)) * 3 + k % 3;
+        }
+        for (Index k = (n / 3) * 3; k < n; ++k) to[static_cast<std::size_t>(k)] = k;
+        const auto is_src = IndexSet::identity(n), is_dst = IndexSet::general(to);
+        Vec dst_a(c, n), dst_b(c, n);
+        VecScatter sc(src, is_src, dst_a, is_dst);
+
+        // The hindexed spelling, from the same pair walk.
+        const auto& sl = src.layout();
+        const auto& dl = dst_a.layout();
+        const int me = c.rank();
+        std::vector<std::vector<std::ptrdiff_t>> send_off(kRanks), recv_off(kRanks);
+        for (std::size_t k = 0; k < is_src.size(); ++k) {
+            const int so = sl.owner(is_src[k]), dow = dl.owner(is_dst[k]);
+            if (so == me) send_off[static_cast<std::size_t>(dow)].push_back(
+                (is_src[k] - sl.range(me).begin) * 8);
+            if (dow == me) recv_off[static_cast<std::size_t>(so)].push_back(
+                (is_dst[k] - dl.range(me).begin) * 8);
+        }
+        auto hindexed_of = [](const std::vector<std::ptrdiff_t>& displs) {
+            const std::vector<std::size_t> lens(displs.size(), 1);
+            return dt::Datatype::hindexed(lens, displs, dt::Datatype::float64());
+        };
+        std::vector<std::size_t> scounts(kRanks, 0), rcounts(kRanks, 0);
+        std::vector<std::ptrdiff_t> sdispls(kRanks, 0), rdispls(kRanks, 0);
+        std::vector<dt::Datatype> stypes(kRanks, dt::Datatype::byte()),
+            rtypes(kRanks, dt::Datatype::byte());
+        std::vector<std::uint64_t> blocks(kRanks, 0);
+        for (std::size_t r = 0; r < kRanks; ++r) {
+            if (!send_off[r].empty()) {
+                scounts[r] = 1;
+                stypes[r] = hindexed_of(send_off[r]);
+                if (static_cast<int>(r) != me) blocks[r] = stypes[r].block_count();
+            }
+            if (!recv_off[r].empty()) {
+                rcounts[r] = 1;
+                rtypes[r] = hindexed_of(recv_off[r]);
+            }
+        }
+        EXPECT_EQ(sc.send_blocks(), blocks);
+
+        auto fig13 = [&c] {
+            const StatCounters& s = c.counters();
+            return std::array<std::uint64_t, 5>{s.bytes_packed, s.blocks_packed, s.search_events,
+                                                s.search_blocks_visited, s.lookahead_blocks};
+        };
+        auto delta = [](std::array<std::uint64_t, 5> a, const std::array<std::uint64_t, 5>& b) {
+            for (std::size_t i = 0; i < a.size(); ++i) a[i] = b[i] - a[i];
+            return a;
+        };
+        const auto t0 = fig13();
+        sc.execute(src, dst_a, ScatterBackend::DatatypeBaseline);
+        const auto t1 = fig13();
+        const dt::EngineKind saved = c.engine_kind();
+        c.set_engine(dt::EngineKind::SingleContext);
+        coll::CollConfig cfg;
+        cfg.alltoallw_algo = coll::AlltoallwAlgo::RoundRobin;
+        coll::alltoallw(c, src.data(), scounts, sdispls, stypes, dst_b.data(), rcounts, rdispls,
+                        rtypes, cfg);
+        c.set_engine(saved);
+        const auto t2 = fig13();
+        EXPECT_EQ(delta(t0, t1), delta(t1, t2));
+        EXPECT_GT(delta(t0, t1)[1], 0u);
+        for (Index i = 0; i < dst_a.local_size(); ++i) {
+            EXPECT_EQ(dst_a.data()[i], dst_b.data()[i]) << "entry " << i;
+        }
+    });
 }
 
 TEST(Scatter, TrafficIntrospection) {
