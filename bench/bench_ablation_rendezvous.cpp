@@ -15,13 +15,15 @@
 // rendezvous" and reports the measured single-copy benefit: noise-level
 // at small sizes (the posted-queue probe is cheap but so is the copy),
 // approaching 2x once the payload dwarfs the synchronization.
+//
+// A third view sweeps the same threshold grid over four Fig. 15/16-like
+// communication shapes and reports each shape's optimal static threshold.
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "bench/adaptive_shapes.hpp"
 #include "bench/common.hpp"
 #include "netsim/sim.hpp"
 #include "runtime/comm.hpp"
@@ -30,6 +32,16 @@ using namespace nncomm;
 using dt::Datatype;
 
 namespace {
+
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+/// The static sweep grid every simulator view shares.
+constexpr std::size_t kThresholdGrid[] = {0,      1024,    8192, 32768,
+                                          262144, 2097152, kNever};
+
+std::string threshold_name(std::size_t thr) {
+    return thr == kNever ? "never" : std::to_string(thr);
+}
 
 // ---- Simulator sweep ------------------------------------------------------
 
@@ -60,6 +72,86 @@ sim::SimResult run_mix(std::size_t threshold) {
         }
     }
     return sim::Simulator(cluster).run(progs);
+}
+
+// ---- Per-shape sweep ------------------------------------------------------
+
+/// A shape is a per-(src, dst) volume function over `nprocs` ranks,
+/// exchanged `rounds` times (every rank sends to and receives from every
+/// peer with a nonzero volume each round).
+struct Shape {
+    const char* name;
+    int nprocs;
+    int rounds;
+    std::uint64_t (*volume)(int src, int dst);
+};
+
+// Fig. 15-like alltoallw mixes: a nonuniform sparse pattern whose per-peer
+// volumes straddle the crossover, plus uniform controls on either side of
+// it. Fig. 16-like VecScatter: a halo pattern — bulk traffic to lattice
+// neighbours, slivers to everyone adjacent in rank order.
+
+std::uint64_t vol_uniform_small(int src, int dst) { return src == dst ? 0 : 4096; }
+std::uint64_t vol_uniform_large(int src, int dst) { return src == dst ? 0 : 262144; }
+std::uint64_t vol_fig15_nonuniform(int src, int dst) {
+    if (src == dst) return 0;
+    // Most pairs exchange control-sized messages; every third peer gets a
+    // bulk payload — the nonuniform volume distribution of the paper's
+    // sparse-matrix alltoallw.
+    const int d = (dst - src + 64) % 3;
+    if (d == 0) return 1048576;
+    if (d == 1) return 16384;
+    return 512;
+}
+std::uint64_t vol_fig16_halo(int src, int dst) {
+    if (src == dst) return 0;
+    const int dist = src > dst ? src - dst : dst - src;
+    if (dist == 1) return 393216;  // face neighbour: bulk strided halo
+    if (dist == 2) return 6144;    // edge neighbour: thin halo
+    return 0;
+}
+
+constexpr Shape kShapes[] = {
+    {"fig15_nonuniform", 8, 48, vol_fig15_nonuniform},
+    {"fig16_halo", 8, 48, vol_fig16_halo},
+    {"uniform_small", 4, 64, vol_uniform_small},
+    {"uniform_large", 4, 64, vol_uniform_large},
+};
+
+/// One program per rank: per round, post all sends then all receives.
+/// Simulator sends never block, so the order is deadlock-free.
+std::vector<sim::RankProgram> build_programs(const Shape& s) {
+    std::vector<sim::RankProgram> progs(static_cast<std::size_t>(s.nprocs));
+    for (int t = 0; t < s.rounds; ++t) {
+        for (int r = 0; r < s.nprocs; ++r) {
+            auto& p = progs[static_cast<std::size_t>(r)];
+            for (int d = 0; d < s.nprocs; ++d) {
+                if (s.volume(r, d) > 0) p.push_back(sim::Op::send(d, t, s.volume(r, d)));
+            }
+            for (int d = 0; d < s.nprocs; ++d) {
+                if (s.volume(d, r) > 0) p.push_back(sim::Op::recv(d, t));
+            }
+        }
+    }
+    return progs;
+}
+
+/// Sweeps the grid and returns the best static threshold (argmin makespan).
+/// No injected skew: the sweep compares thresholds, not noise.
+std::size_t best_static_threshold(const Shape& s, double* best_makespan) {
+    double best = 0.0;
+    std::size_t best_thr = 0;
+    for (std::size_t thr : kThresholdGrid) {
+        sim::ClusterConfig cluster = sim::make_paper_testbed(s.nprocs, /*skew_us_mean=*/0.0);
+        cluster.rendezvous_threshold = thr;
+        const double mk = sim::Simulator(cluster).run(build_programs(s)).makespan_us;
+        if (best == 0.0 || mk < best) {
+            best = mk;
+            best_thr = thr;
+        }
+    }
+    *best_makespan = best;
+    return best_thr;
 }
 
 // ---- Real-runtime sweep ---------------------------------------------------
@@ -99,7 +191,6 @@ double pingpong_ms(std::size_t bytes, std::size_t threshold) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
     const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
     std::printf("== Ablation: rendezvous threshold ==\n\n");
@@ -108,33 +199,25 @@ int main(int argc, char** argv) {
                 [] { int n = 0; for (const auto& e : kMix) n += e.count; return n; }());
 
     benchutil::Table sweep({"Threshold", "Makespan (us)", "Rendezvous msgs"});
-    const std::size_t thresholds[] = {0,       1024,        8192, 32768,
-                                      262144,  2097152,     kNever};
     double best = 0.0;
     std::size_t best_thr = 0;
-    for (std::size_t thr : thresholds) {
+    for (std::size_t thr : kThresholdGrid) {
         const sim::SimResult r = run_mix(thr);
         if (best == 0.0 || r.makespan_us < best) {
             best = r.makespan_us;
             best_thr = thr;
         }
-        sweep.add_row({thr == kNever ? "never" : std::to_string(thr),
+        sweep.add_row({threshold_name(thr),
                        benchutil::fmt(r.makespan_us, 1),
                        std::to_string(r.rendezvous_messages)});
     }
     sweep.print();
-    std::printf("\nbest threshold in sweep: %s (default %llu)\n",
-                best_thr == kNever ? "never" : std::to_string(best_thr).c_str(),
+    std::printf("\nbest threshold in sweep: %s (default %llu)\n", threshold_name(best_thr).c_str(),
                 static_cast<unsigned long long>(rt::kDefaultRendezvousThreshold));
 
-    // Per-shape static optimum over the shared adaptive_shapes sweep —
-    // this is the number bench_adaptive gates its learned thresholds
-    // against ("converged within one size class of the ablation's
-    // optimum"), so it goes into the JSON report rather than only the
-    // human-readable table.
-    std::printf("\nper-shape optimal static threshold (shared adaptive_shapes sweep)\n\n");
-    std::size_t nshapes = 0;
-    const adaptive_shapes::Shape* shapes = adaptive_shapes::shapes(&nshapes);
+    // Per-shape static optimum over the same grid, reported in the JSON
+    // as well as the human-readable table.
+    std::printf("\nper-shape optimal static threshold\n\n");
     struct ShapeOpt {
         const char* name;
         std::size_t threshold;
@@ -142,12 +225,11 @@ int main(int argc, char** argv) {
     };
     std::vector<ShapeOpt> shape_opts;
     benchutil::Table shape_tab({"Shape", "Best threshold", "Makespan (us)"});
-    for (std::size_t i = 0; i < nshapes; ++i) {
+    for (const Shape& shape : kShapes) {
         double mk = 0.0;
-        const std::size_t thr = adaptive_shapes::best_static_threshold(shapes[i], &mk);
-        shape_opts.push_back({shapes[i].name, thr, mk});
-        shape_tab.add_row({shapes[i].name, adaptive_shapes::threshold_name(thr),
-                           benchutil::fmt(mk, 1)});
+        const std::size_t thr = best_static_threshold(shape, &mk);
+        shape_opts.push_back({shape.name, thr, mk});
+        shape_tab.add_row({shape.name, threshold_name(thr), benchutil::fmt(mk, 1)});
     }
     shape_tab.print();
 

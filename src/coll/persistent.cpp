@@ -1,7 +1,6 @@
 #include "coll/persistent.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "runtime/protocol.hpp"
@@ -23,9 +22,6 @@ constexpr int kCtsOffset = 0x80;
 /// this lane (disjoint from the CTS lane; steady state then moves zero
 /// control messages).
 constexpr int kRmaLayoutExchange = 0x100;
-/// Tune-cache marker distinguishing an RMA-available pattern from the same
-/// pattern with RMA gated off ("RMA" in ASCII).
-constexpr std::uint64_t kRmaSigSalt = 0x524d41;
 }  // namespace
 
 AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendcounts,
@@ -60,10 +56,6 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         /// same threshold): after posting this receive, the schedule sends
         /// the source a zero-byte clear-to-send so the payload send always
         /// finds the receive posted and the single-copy path never races.
-        /// Under adaptive protocol selection the sender's learned threshold
-        /// is private to its pair state, so the mirror is unavailable —
-        /// every nonzero receive emits a clear-to-send instead, and eager
-        /// senders consume the token without depending on it.
         bool cts;
     };
     std::vector<SendPeer> sends;
@@ -73,29 +65,11 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     std::size_t self_i = 0;
     std::uint64_t self_vol = 0;
 
-    // Adaptive plans freeze their per-peer protocol choices in the
-    // process-wide tune cache, keyed by the pattern signature: same
-    // communicator shape, same volumes, same layouts => same frozen
-    // choices for the lifetime of the process, no matter how the online
-    // estimates drift between plan constructions.
-    const bool adaptive = comm.adaptive_protocol_engaged();
-    std::uint64_t sig = rt::proto_sig_mix(0, static_cast<std::uint64_t>(comm.context_id()));
-    sig = rt::proto_sig_mix(sig, static_cast<std::uint64_t>(rank));
-    sig = rt::proto_sig_mix(sig, n);
-    sig = rt::proto_sig_mix(sig, comm.rendezvous_threshold());
-    sig = rt::proto_sig_mix(sig, config.small_msg_threshold);
-
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t svol =
             static_cast<std::uint64_t>(sendcounts[i]) * sendtypes[i].size();
         const std::uint64_t rvol =
             static_cast<std::uint64_t>(recvcounts[i]) * recvtypes[i].size();
-        if (adaptive) {
-            sig = rt::proto_sig_mix(sig, svol);
-            sig = rt::proto_sig_mix(sig, rvol);
-            if (svol > 0) sig = rt::proto_sig_mix(sig, sendtypes[i].plan().signature());
-            if (rvol > 0) sig = rt::proto_sig_mix(sig, recvtypes[i].plan().signature());
-        }
         if (static_cast<int>(i) == rank) {
             NNCOMM_CHECK_MSG(svol == rvol, "AlltoallwPlan: self send/recv volume mismatch");
             if (svol > 0) {
@@ -109,10 +83,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             // Boundary contract shared with try_rendezvous / phase_protocol
             // / netsim: rendezvous iff nonempty AND svol >= threshold. The
             // svol > 0 guard above supplies the nonempty half; exactly-at-
-            // threshold volumes go rendezvous on every layer. Adaptive
-            // plans overwrite the proto after the binned sort, from the
-            // tune cache (the sort keys — bytes, rank — never depend on
-            // it).
+            // threshold volumes go rendezvous on every layer.
             sends.push_back({static_cast<int>(i), sendcounts[i], sdispls[i], sendtypes[i],
                              svol,
                              svol >= comm.rendezvous_threshold() ? rt::Protocol::Rendezvous
@@ -125,7 +96,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             // same uniformity every collective already demands of its
             // arguments).
             recvs.push_back({static_cast<int>(i), recvcounts[i], rdispls[i], recvtypes[i],
-                             rvol, adaptive || rvol >= comm.rendezvous_threshold()});
+                             rvol, rvol >= comm.rendezvous_threshold()});
         }
     }
 
@@ -148,48 +119,11 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     // cannot see its peers' volumes — so it is a pure function of the
     // config and the build/env gates, never of the traffic matrix.
     // Protocol::Eager / Rendezvous in the config force the two-sided graph.
-    bool use_rma = rt::rma_selection_enabled() &&
-                   (config.persistent_protocol == rt::Protocol::Auto ||
-                    config.persistent_protocol == rt::Protocol::Rma);
+    rma_ = rt::rma_selection_enabled() &&
+           (config.persistent_protocol == rt::Protocol::Auto ||
+            config.persistent_protocol == rt::Protocol::Rma);
 
-    // Adaptive protocol resolution, after the sort so frozen entries map
-    // positionally onto the binned send order. First plan with this
-    // signature consults the learned per-pair thresholds and freezes the
-    // outcome (first-wins); every later plan — and every re-execution —
-    // adopts the frozen entry bit-for-bit, so protocol choices never change
-    // under an executing pattern. An RMA-lowered pattern freezes the value
-    // 2 for every peer (the salt keeps its signature disjoint from the same
-    // pattern with RMA gated off), and the frozen entry governs reruns.
-    if (adaptive) {
-        sig = rt::proto_sig_mix(sig, use_rma ? kRmaSigSalt : 0u);
-        auto& cache = rt::ProtoTuneCache::instance();
-        auto frozen = cache.lookup(sig);
-        if (!frozen) {
-            rt::ProtoTuneCache::Entry entry;
-            entry.send_rdzv.reserve(sends.size());
-            entry.thresholds.reserve(sends.size());
-            for (const SendPeer& p : sends) {
-                const std::size_t thr = comm.effective_rendezvous_threshold(p.rank, p.type);
-                entry.thresholds.push_back(thr);
-                entry.send_rdzv.push_back(use_rma ? 2 : (p.bytes >= thr ? 1 : 0));
-            }
-            frozen = cache.freeze(sig, std::move(entry));
-        }
-        NNCOMM_CHECK_MSG(frozen->send_rdzv.size() == sends.size(),
-                         "AlltoallwPlan: tune-cache signature collision");
-        bool frozen_rma = !sends.empty();
-        for (std::size_t k = 0; k < sends.size(); ++k) {
-            const std::uint8_t v = frozen->send_rdzv[k];
-            frozen_rma = frozen_rma && v == 2;
-            sends[k].proto = v == 2   ? rt::Protocol::Rma
-                             : v != 0 ? rt::Protocol::Rendezvous
-                                      : rt::Protocol::Eager;
-        }
-        if (!sends.empty()) use_rma = frozen_rma;
-    }
-    rma_ = use_rma;
-
-    if (use_rma) {
+    if (rma_) {
         // The window region is the data footprint of this rank's remote
         // receive layouts inside recvbuf; begin() re-points it at each
         // execute's buffer. Each source learns its typed layout relative to
@@ -293,12 +227,8 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         any_rdv = any_rdv || rdv;
 
         int cts_idx = -1;
-        if (rdv || adaptive) {
-            // Rendezvous packs wait for the token; under adaptive
-            // selection the receiver sends one for *every* nonzero peer
-            // (it cannot see this rank's learned threshold), so eager
-            // sends post a matching receive purely to consume it — no
-            // dependency, no orphaned token aliasing a later execution.
+        if (rdv) {
+            // Rendezvous packs wait for the receiver's token.
             ScheduleOp cts;
             cts.kind = ScheduleOpKind::Recv;
             cts.peer = p.rank;
@@ -316,7 +246,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         pk.type = p.type;
         pk.slot = static_cast<int>(k);
         pk.bytes = p.bytes;
-        if (rdv && cts_idx >= 0) pk.deps = {cts_idx};
+        if (cts_idx >= 0) pk.deps = {cts_idx};
         s.ops.push_back(std::move(pk));
         const int pack_idx = static_cast<int>(s.ops.size()) - 1;
 

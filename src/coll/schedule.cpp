@@ -859,7 +859,6 @@ bool CollRequest::try_fused(std::size_t i) {
         plan.pack_range(pk.type.flat(), src, pk.count, pos, out, &step_);
     };
     if (!comm_->try_rendezvous_staged_i(snd.peer, tags_.tag(snd.tag_offset), total,
-                                        rt::family_of(pk.type),
                                         std::span<std::byte>(buf), produce)) {
         return false;
     }

@@ -158,22 +158,12 @@ struct StatCounters {
     std::uint64_t rt_sparse_msgs_recvd = 0;  ///< remote payload messages received
     std::uint64_t rt_sparse_probe_polls = 0; ///< consensus-loop iprobe passes
 
-    // Adaptive protocol-selection counters (runtime/protocol.hpp +
-    // runtime/comm.cpp). Every Protocol::Auto resolution against a learned
-    // (or fallback static) threshold tallies which path it chose; the
-    // threshold water marks record the range of effective thresholds the
-    // resolver actually used, so a bench can attest adaptation moved the
-    // crossover rather than sitting on the default. The rt_rdzv_pipelined_*
-    // counters cover the chunk-pipelined rendezvous path where packing
-    // chunk k+1 overlaps the copy of chunk k.
-    std::uint64_t rt_proto_adapt_updates = 0;  ///< cost-model observations recorded
-    std::uint64_t rt_proto_eager_chosen = 0;   ///< Auto resolutions that picked eager
-    std::uint64_t rt_proto_rdzv_chosen = 0;    ///< Auto resolutions that picked rendezvous
-    /// High/low water marks of the effective rendezvous threshold (bytes)
-    /// used by Auto resolutions. _hi composes by max, _lo by min over
-    /// nonzero values (0 = never observed).
-    std::uint64_t rt_proto_threshold_bytes_hi = 0;
-    std::uint64_t rt_proto_threshold_bytes_lo = 0;
+    // Protocol-selection counters (runtime/comm.cpp). Every nonempty
+    // Protocol::Auto send tallies which side of the rendezvous threshold it
+    // fell on. The rt_rdzv_pipelined_* counters cover the chunk-pipelined
+    // rendezvous path where packing chunk k+1 overlaps the copy of chunk k.
+    std::uint64_t rt_proto_eager_chosen = 0;  ///< Auto resolutions that picked eager
+    std::uint64_t rt_proto_rdzv_chosen = 0;   ///< Auto resolutions that picked rendezvous
     std::uint64_t rt_rdzv_pipelined_msgs = 0;    ///< fused pack+copy rendezvous sends
     std::uint64_t rt_rdzv_pipelined_chunks = 0;  ///< chunks moved through the fused path
 
@@ -238,17 +228,8 @@ struct StatCounters {
         if (o.rt_pool_resident_bytes > rt_pool_resident_bytes) {
             rt_pool_resident_bytes = o.rt_pool_resident_bytes;
         }
-        rt_proto_adapt_updates += o.rt_proto_adapt_updates;
         rt_proto_eager_chosen += o.rt_proto_eager_chosen;
         rt_proto_rdzv_chosen += o.rt_proto_rdzv_chosen;
-        if (o.rt_proto_threshold_bytes_hi > rt_proto_threshold_bytes_hi) {
-            rt_proto_threshold_bytes_hi = o.rt_proto_threshold_bytes_hi;
-        }
-        if (o.rt_proto_threshold_bytes_lo != 0 &&
-            (rt_proto_threshold_bytes_lo == 0 ||
-             o.rt_proto_threshold_bytes_lo < rt_proto_threshold_bytes_lo)) {
-            rt_proto_threshold_bytes_lo = o.rt_proto_threshold_bytes_lo;
-        }
         rt_rdzv_pipelined_msgs += o.rt_rdzv_pipelined_msgs;
         rt_rdzv_pipelined_chunks += o.rt_rdzv_pipelined_chunks;
         rt_rma_puts += o.rt_rma_puts;

@@ -47,17 +47,6 @@ struct ClusterConfig {
     double gather_us_per_block = 0.0015;   ///< hand-tuned indexed-load per run
     std::size_t pipeline_chunk = 64 * 1024;
 
-    // Adaptive protocol selection (mirrors rt::ProtoTable): when enabled,
-    // every (src, dst) pair learns eager and rendezvous cost lines from the
-    // analytic costs above and the learned crossover replaces the static
-    // rendezvous_threshold once each line holds adaptive_min_samples
-    // observations. Off by default so raw configs cost exactly what they
-    // always did.
-    bool adaptive_protocol = false;
-    std::uint32_t adaptive_min_samples = 16;
-    std::size_t adaptive_min_threshold = 1024;
-    std::size_t adaptive_max_threshold = 8 * 1024 * 1024;
-
     // Heterogeneity and noise.
     std::vector<double> speed;  ///< per-rank speed factor; empty = all 1.0
     double skew_us_mean = 0.0;  ///< exponential per-rank skew per operation

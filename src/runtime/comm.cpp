@@ -389,14 +389,6 @@ struct WorldState {
 
     PayloadPool pool;  ///< recycled buffered-eager payload buffers
 
-    /// Per-(src, dst)-pair protocol cost models (protocol.hpp). Lines are
-    /// single-writer (sender thread feeds eager_send/rdzv, receiver thread
-    /// feeds eager_unpack), fits are read lock-free from the send path.
-    std::unique_ptr<ProtoTable> proto;
-    /// When enabled, replaces measured durations with the analytic model
-    /// (set before run(), read-only during one).
-    SyntheticProtoCosts synthetic;
-
     // Delivery engine state, sharded per destination.
     std::vector<std::unique_ptr<DestQueue>> destq;
     std::atomic<std::uint64_t> inflight_count{0};
@@ -612,39 +604,7 @@ const dt::Datatype& wire_bytes() {
 /// which keeps small eager messages at the cost of a bare memcpy.
 bool dense(const dt::Datatype& t) { return &t == &wire_bytes() || t.flat().contiguous(); }
 
-/// Messages below this size never feed the protocol cost model: the two
-/// clock reads would outweigh the copy being measured, and the learned
-/// threshold is clamped above this anyway (ProtoTable::kMinThreshold).
-constexpr std::size_t kAdaptiveObserveMinBytes = 1024;
-
-/// One cost-model observation in nanoseconds: the measured duration, or the
-/// analytic value when the world runs synthetic protocol costs.
-double observed_ns(const WorldState& world, double base_ns, double per_byte_ns,
-                   std::size_t bytes, std::chrono::steady_clock::time_point t0) {
-    if (world.synthetic.enabled) {
-        return base_ns + per_byte_ns * static_cast<double>(bytes);
-    }
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                             t0)
-            .count());
-}
-
 }  // namespace
-
-std::size_t Comm::effective_rendezvous_threshold(int dest, const dt::Datatype& type) {
-    std::size_t thr = rendezvous_threshold_;
-    if (adaptive_protocol_engaged()) {
-        thr = world_->proto->learned_threshold(rank_, dest, family_of(type),
-                                               rendezvous_threshold_);
-    }
-    if (thr > counters_.rt_proto_threshold_bytes_hi) counters_.rt_proto_threshold_bytes_hi = thr;
-    if (counters_.rt_proto_threshold_bytes_lo == 0 ||
-        thr < counters_.rt_proto_threshold_bytes_lo) {
-        counters_.rt_proto_threshold_bytes_lo = thr;
-    }
-    return thr;
-}
 
 int Comm::size() const { return world_->nranks; }
 
@@ -806,7 +766,7 @@ Request Comm::irecv(void* buf, std::size_t count, const dt::Datatype& type, int 
 /// protocol. The payload buffer comes from this rank's pool cache;
 /// zero-byte messages never touch the pool or the allocator at all.
 Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
-                             int dest, int tag, int context, std::size_t total) {
+                             int tag, int context, std::size_t total) {
     NNCOMM_CHECK(type.valid());
     Envelope env;
     env.source = rank_;
@@ -815,24 +775,10 @@ Envelope Comm::pack_envelope(const void* buf, std::size_t count, const dt::Datat
 
     if (total == 0) return env;  // header-only: zero-byte sends are pure synchronization
 
-    // Feed the eager_send cost line: the staging copy below is exactly the
-    // sender-side cost the eager protocol pays that rendezvous avoids.
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    std::chrono::steady_clock::time_point t0;
-    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
-
     env.payload = world_->pool.acquire(total, rank_, counters_);
     counters_.rt_bytes_copied += total;  // sender-side staging copy
     transfer(buf, count, type, env.payload.data(), total, wire_bytes(), total,
              {engine_kind_, engine_config_, counters_, timers_});
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_eager_send(
-            rank_, dest, family_of(type), static_cast<double>(total),
-            observed_ns(*world_, syn.eager_send_base_ns, syn.eager_send_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
     return env;
 }
 
@@ -959,8 +905,7 @@ void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, vo
 /// release-store on matched gives the bytes their happens-before edge into
 /// the receiving thread.
 template <typename Move>
-bool Comm::claim_posted(int dest, int tag, int context, std::size_t total, PackFamily family,
-                        Move&& move) {
+bool Comm::claim_posted(int dest, int tag, int context, std::size_t total, Move&& move) {
     NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
     Envelope header;
     header.source = rank_;
@@ -979,22 +924,7 @@ bool Comm::claim_posted(int dest, int tag, int context, std::size_t total, PackF
     if (!r) return false;  // unposted: degrade to buffered eager
     NNCOMM_CHECK_MSG(total <= r->type.size() * r->count, "message longer than receive buffer");
 
-    // Feed the rdzv cost line: the direct move below is the whole marginal
-    // cost the rendezvous protocol pays once the claim succeeded.
-    const bool observe =
-        total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-    std::chrono::steady_clock::time_point t0;
-    if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
-
     move(*r);
-
-    if (observe) {
-        const auto& syn = world_->synthetic;
-        world_->proto->observe_rdzv(
-            rank_, dest, family, static_cast<double>(total),
-            observed_ns(*world_, syn.rdzv_base_ns, syn.rdzv_per_byte_ns, total, t0));
-        ++counters_.rt_proto_adapt_updates;
-    }
 
     r->env = std::move(header);  // header only: carries source/tag for RecvStatus
     r->direct_bytes = total;
@@ -1028,16 +958,13 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
     // threshold 0.
     if (total == 0) return false;
     if (proto == Protocol::Auto) {
-        // Auto resolution: the effective threshold is the learned per-pair
-        // crossover when adaptation is engaged and confident, the static
-        // communicator threshold otherwise.
-        if (total < effective_rendezvous_threshold(dest, type)) {
+        if (total < rendezvous_threshold_) {
             ++counters_.rt_proto_eager_chosen;
             return false;
         }
         ++counters_.rt_proto_rdzv_chosen;
     }
-    return claim_posted(dest, tag, context, total, family_of(type), [&](RequestState& r) {
+    return claim_posted(dest, tag, context, total, [&](RequestState& r) {
         transfer(buf, count, type, r.buf, r.count, r.type, total,
                  {engine_kind_, engine_config_, counters_, timers_});
     });
@@ -1052,7 +979,7 @@ bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype
 /// while its bytes are still cache-hot, so the pack of chunk k+1 overlaps
 /// the copy of chunk k through the cache hierarchy.
 bool Comm::try_rendezvous_staged_i(
-    int dest, int tag, std::size_t total, PackFamily family, std::span<std::byte> stage,
+    int dest, int tag, std::size_t total, std::span<std::byte> stage,
     const std::function<void(std::uint64_t, std::span<std::byte>)>& produce) {
     if (world_->policy.enabled) return false;  // all policy traffic routes buffered
     if (total == 0) return false;
@@ -1062,8 +989,7 @@ bool Comm::try_rendezvous_staged_i(
                                   : stage.size();
     std::uint64_t chunks = 0;
     const bool claimed = claim_posted(
-        dest, tag, context_ + detail::kInternalContextOffset, total, family,
-        [&](RequestState& r) {
+        dest, tag, context_ + detail::kInternalContextOffset, total, [&](RequestState& r) {
             PhaseScope scope(timers_, Phase::Comm);  // the whole pack+copy loop
             Landing land(r.buf, r.count, r.type, use_plans(engine_kind_, engine_config_),
                          counters_);
@@ -1093,7 +1019,7 @@ void Comm::send_ctx(const void* buf, std::size_t count, const dt::Datatype& type
         // and push straight onto the destination lane, no request state.
         const std::size_t total = type.size() * count;
         if (try_rendezvous(buf, count, type, dest, tag, context, proto, total)) return;
-        Envelope env = pack_envelope(buf, count, type, dest, tag, context, total);
+        Envelope env = pack_envelope(buf, count, type, tag, context, total);
         detail::deliver_lane(*world_, dest, std::move(env), counters_);
         return;
     }
@@ -1111,12 +1037,12 @@ Request Comm::isend_ctx(const void* buf, std::size_t count, const dt::Datatype& 
         // so the request is born complete and the shared singleton serves.
         const std::size_t total = type.size() * count;
         if (!try_rendezvous(buf, count, type, dest, tag, context, proto, total)) {
-            Envelope env = pack_envelope(buf, count, type, dest, tag, context, total);
+            Envelope env = pack_envelope(buf, count, type, tag, context, total);
             detail::deliver_lane(*world_, dest, std::move(env), counters_);
         }
         return Request(world_->done_send);
     }
-    Envelope env = pack_envelope(buf, count, type, dest, tag, context, type.size() * count);
+    Envelope env = pack_envelope(buf, count, type, tag, context, type.size() * count);
     auto req = std::make_shared<RequestState>();
     req->kind = RequestState::Kind::Send;
     req->owner_rank = rank_;
@@ -1353,23 +1279,8 @@ RecvStatus Comm::finish_recv(RequestState& req) {
     NNCOMM_CHECK_MSG(total <= req.type.size() * req.count, "message longer than receive buffer");
     if (total > 0) {
         counters_.rt_bytes_copied += total;  // receive-side copy
-        // Feed the eager_unpack cost line: the copy below is the
-        // receiver-side half of the eager protocol's double copy. This
-        // rank's thread is the line's single writer.
-        const bool observe =
-            total >= kAdaptiveObserveMinBytes && adaptive_protocol_engaged();
-        std::chrono::steady_clock::time_point t0;
-        if (observe && !world_->synthetic.enabled) t0 = std::chrono::steady_clock::now();
         transfer(req.env.payload.data(), total, wire_bytes(), req.buf, req.count, req.type,
                  total, {engine_kind_, engine_config_, counters_, timers_});
-        if (observe) {
-            const auto& syn = world_->synthetic;
-            world_->proto->observe_eager_unpack(
-                req.env.source, rank_, family_of(req.type), static_cast<double>(total),
-                observed_ns(*world_, syn.eager_unpack_base_ns, syn.eager_unpack_per_byte_ns,
-                            total, t0));
-            ++counters_.rt_proto_adapt_updates;
-        }
     }
     req.status.source = req.env.source;
     req.status.tag = req.env.tag;
@@ -1572,8 +1483,6 @@ Comm Comm::dup() {
     c.engine_kind_ = engine_kind_;
     c.engine_config_ = engine_config_;
     c.rendezvous_threshold_ = rendezvous_threshold_;
-    c.threshold_pinned_ = threshold_pinned_;
-    c.adaptive_protocol_ = adaptive_protocol_;
     c.rendezvous_pipeline_ = rendezvous_pipeline_;
     return c;
 }
@@ -1609,7 +1518,6 @@ World::World(int nranks) : nranks_(nranks), state_(std::make_unique<WorldState>(
         state_->destq.push_back(std::make_unique<detail::DestQueue>());
     }
     state_->pool.init(nranks);
-    state_->proto = std::make_unique<ProtoTable>(nranks);
     state_->done_send = std::make_shared<RequestState>();
     state_->done_send->kind = RequestState::Kind::Send;
     state_->done_send->delivered.store(true, std::memory_order_release);
@@ -1625,19 +1533,6 @@ const SchedulePolicy& World::schedule() const { return state_->policy; }
 void World::set_payload_pool_budget(std::size_t bytes) { state_->pool.set_budget(bytes); }
 
 std::size_t World::payload_pool_resident_bytes() const { return state_->pool.resident_bytes(); }
-
-void World::set_synthetic_protocol_costs(const SyntheticProtoCosts& costs) {
-    state_->synthetic = costs;
-}
-
-std::size_t World::learned_threshold(int src, int dst, PackFamily family,
-                                     std::size_t fallback) const {
-    return state_->proto->learned_threshold(src, dst, family, fallback);
-}
-
-std::uint64_t World::proto_pair_samples(int src, int dst) const {
-    return state_->proto->pair_samples(src, dst);
-}
 
 void World::run(const std::function<void(Comm&)>& fn) {
     // Reset abort state and clear any residue from a previous run.

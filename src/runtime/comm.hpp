@@ -76,7 +76,6 @@
 #include "core/counters.hpp"
 #include "core/error.hpp"
 #include "datatype/engine.hpp"
-#include "runtime/protocol.hpp"
 #include "runtime/schedule.hpp"
 
 namespace nncomm::rt {
@@ -96,14 +95,10 @@ inline constexpr int kAnyTag = -1;
 /// hint is always safe to pass through generic send paths.
 enum class Protocol { Auto, Eager, Rendezvous, Rma };
 
-/// Default rendezvous threshold (bytes). Overridable per communicator via
-/// Comm::set_rendezvous_threshold and at build time via the
-/// NNCOMM_RENDEZVOUS CMake option (OFF compiles the default to "never").
-#if defined(NNCOMM_RENDEZVOUS_THRESHOLD)
-inline constexpr std::size_t kDefaultRendezvousThreshold = NNCOMM_RENDEZVOUS_THRESHOLD;
-#else
+/// Default rendezvous threshold (bytes): Protocol::Auto sends of at least
+/// this many bytes attempt the zero-copy path. Overridable per communicator
+/// via Comm::set_rendezvous_threshold.
 inline constexpr std::size_t kDefaultRendezvousThreshold = 32 * 1024;
-#endif
 /// Tags >= kInternalTagBase are reserved for collective implementations.
 inline constexpr int kInternalTagBase = 1 << 24;
 
@@ -216,41 +211,11 @@ public:
     void set_engine_config(const dt::EngineConfig& cfg) { engine_config_ = cfg; }
     const dt::EngineConfig& engine_config() const { return engine_config_; }
     /// Message size (bytes) at which Protocol::Auto sends attempt the
-    /// zero-copy rendezvous path. 0 makes every nonempty send attempt it;
-    /// SIZE_MAX disables the protocol for this communicator. Setting an
-    /// explicit threshold PINS static protocol selection (adaptation
-    /// disengages), so tests and workloads that reason about exact protocol
-    /// counts keep their determinism; a later set_adaptive_protocol(true)
-    /// re-engages adaptation with this value as the fallback.
-    void set_rendezvous_threshold(std::size_t bytes) {
-        rendezvous_threshold_ = bytes;
-        threshold_pinned_ = true;
-    }
+    /// zero-copy rendezvous path: rendezvous iff the message is nonempty
+    /// and at least this long. 0 makes every nonempty send attempt it;
+    /// SIZE_MAX disables the protocol for this communicator.
+    void set_rendezvous_threshold(std::size_t bytes) { rendezvous_threshold_ = bytes; }
     std::size_t rendezvous_threshold() const { return rendezvous_threshold_; }
-
-    /// Per-(src, dst)-pair self-tuning protocol selection (protocol.hpp):
-    /// when engaged, Protocol::Auto resolves against the learned
-    /// eager/rendezvous cost crossover for (this rank, dest, pack family)
-    /// instead of the static threshold, which remains the fallback while
-    /// the cost model is under-sampled. On by default; disengaged by an
-    /// explicit set_rendezvous_threshold, the NNCOMM_ADAPTIVE=OFF env var,
-    /// or the NNCOMM_ADAPTIVE CMake option. An explicit
-    /// set_adaptive_protocol(true) overrides a prior threshold pin.
-    void set_adaptive_protocol(bool on) {
-        adaptive_protocol_ = on;
-        if (on) threshold_pinned_ = false;
-    }
-    bool adaptive_protocol() const { return adaptive_protocol_; }
-    /// True when Auto sends actually consult the learned cost model.
-    bool adaptive_protocol_engaged() const {
-        return kAdaptiveCompiled && adaptive_protocol_ && !threshold_pinned_ &&
-               adaptive_runtime_enabled();
-    }
-    /// The threshold a Protocol::Auto send to `dest` with layout `type`
-    /// resolves against right now: the learned crossover when adaptation is
-    /// engaged and confident, the static threshold otherwise. Updates the
-    /// rt_proto_threshold_bytes_{hi,lo} water marks.
-    std::size_t effective_rendezvous_threshold(int dest, const dt::Datatype& type);
 
     /// Chunk-pipelined rendezvous for staged collective sends (on by
     /// default): packing chunk k+1 overlaps the copy-out of chunk k through
@@ -347,15 +312,9 @@ public:
     /// (caller falls back to pack-into-staging + isend_i) when the receive
     /// is unposted, a SchedulePolicy is active, total == 0, or FIFO order
     /// would be violated — exactly try_rendezvous's degradation rules.
-    /// `family` attributes the cost-model observation.
     bool try_rendezvous_staged_i(
-        int dest, int tag, std::size_t total, PackFamily family, std::span<std::byte> stage,
+        int dest, int tag, std::size_t total, std::span<std::byte> stage,
         const std::function<void(std::uint64_t, std::span<std::byte>)>& produce);
-
-    /// Matching-context ordinal of this communicator (stable across ranks:
-    /// dup trees are numbered deterministically). Keys the ProtoTuneCache's
-    /// per-(communicator, pattern) frozen protocol choices.
-    int context_id() const { return context_; }
 
     // -- convenience typed sends (contiguous arrays) --------------------------
     template <typename T>
@@ -404,7 +363,7 @@ private:
     Request isend_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                       int tag, int context, Protocol proto = Protocol::Auto);
     detail::Envelope pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
-                                   int dest, int tag, int context, std::size_t total);
+                                   int tag, int context, std::size_t total);
     bool try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
                         int tag, int context, Protocol proto, std::size_t total);
     /// The claim/complete half both rendezvous paths share: claims the
@@ -413,8 +372,7 @@ private:
     /// then publishes the match and wakes the receiver. False when the
     /// receive is not posted or older messages of ours are unmatched.
     template <typename Move>
-    bool claim_posted(int dest, int tag, int context, std::size_t total, PackFamily family,
-                      Move&& move);
+    bool claim_posted(int dest, int tag, int context, std::size_t total, Move&& move);
     /// Returns a fresh receive request, recycling an idle RequestState from
     /// this communicator's cache when one is free (use_count == 1 means
     /// only the cache still references it).
@@ -440,8 +398,6 @@ private:
     int dup_count_ = 0;  ///< children created from this communicator
     int collective_epoch_ = 0;
     std::size_t rendezvous_threshold_ = kDefaultRendezvousThreshold;
-    bool threshold_pinned_ = false;     ///< explicit threshold: static selection
-    bool adaptive_protocol_ = true;     ///< consult the learned cost model
     bool rendezvous_pipeline_ = true;   ///< fuse staged Pack+Send op pairs
     dt::EngineKind engine_kind_ = dt::EngineKind::DualContext;
     dt::EngineConfig engine_config_{};
@@ -484,21 +440,6 @@ public:
     void set_payload_pool_budget(std::size_t bytes);
     /// Bytes currently resident in the shared payload-pool store.
     std::size_t payload_pool_resident_bytes() const;
-
-    /// Replaces measured protocol-cost observations with the analytic model
-    /// `costs` (protocol.hpp): every observation becomes base + per_byte ×
-    /// bytes with no clock reads, so adaptation is a pure deterministic
-    /// function of the message sequence. Must not be called while a run is
-    /// in progress. Determinism tests and benches place the crossover
-    /// exactly with this.
-    void set_synthetic_protocol_costs(const SyntheticProtoCosts& costs);
-    /// The learned rendezvous crossover for (src, dst, family), or
-    /// `fallback` while the pair's cost model is under-sampled.
-    std::size_t learned_threshold(int src, int dst, PackFamily family,
-                                  std::size_t fallback) const;
-    /// Total cost-model observations recorded for the (src, dst) pair
-    /// across all families and lines (determinism tests).
-    std::uint64_t proto_pair_samples(int src, int dst) const;
 
 private:
     int nranks_;

@@ -7,8 +7,8 @@
 // eager with its payload drawn from the per-world recycled pool. These
 // tests pin the protocol boundary sizes, the fallbacks (unposted receive,
 // active SchedulePolicy), the zero-byte bypass, the noncontiguous direct
-// gather/scatter paths, pool recycling, and the rt_* counters that make
-// all of it observable.
+// gather/scatter paths, pool recycling, the rt_* counters that make all of
+// it observable, and the chunk-pipelined rendezvous of persistent plans.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -543,6 +543,51 @@ TEST(Rendezvous, IsendCompletesInlineWhenReceivePosted) {
     EXPECT_EQ(s.zero_copy.load(), 1u);
 }
 
+// Protocol::Auto is a pure function of the message size: rendezvous iff
+// the message is nonempty and at least the communicator's threshold. With
+// the default threshold and every receive posted before its send, the
+// choice counters must equal exactly what that rule predicts, and every
+// rendezvous choice must land zero-copy. Rank 0 sends only data; rank 1
+// sends only the 4-byte tokens that prove its receives are posted.
+TEST(Rendezvous, AutoChoiceIsPureFunctionOfSize) {
+    constexpr int kReps = 20;
+    constexpr std::size_t kT = rt::kDefaultRendezvousThreshold;
+    const std::size_t sizes[] = {0, 1024, kT - 1, kT, 64 * 1024, 1024 * 1024};
+    std::uint64_t want_eager = 0, want_rdzv = 0;
+    for (std::size_t bytes : sizes) {
+        if (bytes == 0) continue;  // zero-byte sends make no protocol choice
+        (bytes >= kT ? want_rdzv : want_eager) += kReps;
+    }
+    ASSERT_EQ(kT, 32u * 1024u);
+
+    std::vector<StatCounters> counters(2);
+    World w(2);
+    w.run([&](Comm& c) {
+        std::vector<std::uint8_t> buf(1024 * 1024, static_cast<std::uint8_t>(c.rank() + 1));
+        for (int rep = 0; rep < kReps; ++rep) {
+            for (std::size_t bytes : sizes) {
+                if (c.rank() == 1) {
+                    Request r = c.irecv(buf.data(), bytes, Datatype::byte(), 0, kDataTag);
+                    int token = 1;
+                    c.send_n(&token, 1, 0, kTokenTag);
+                    EXPECT_EQ(c.wait(r).bytes, bytes);
+                } else {
+                    int token = 0;
+                    c.recv_n(&token, 1, 1, kTokenTag);
+                    c.send(buf.data(), bytes, Datatype::byte(), 1, kDataTag);
+                }
+            }
+        }
+        counters[static_cast<std::size_t>(c.rank())] = c.counters();
+    });
+    EXPECT_EQ(counters[0].rt_proto_eager_chosen, want_eager);
+    EXPECT_EQ(counters[0].rt_proto_rdzv_chosen, want_rdzv);
+    EXPECT_EQ(counters[0].rt_zero_copy_msgs, want_rdzv);
+    const std::uint64_t tokens = kReps * std::size(sizes);
+    EXPECT_EQ(counters[1].rt_proto_eager_chosen, tokens);
+    EXPECT_EQ(counters[1].rt_proto_rdzv_chosen, 0u);
+}
+
 // Regression for the pool byte budget. The per-class cap bounds buffer
 // COUNT only, so before the budget existed a burst of large eager messages
 // could pin count-cap x 8 MiB in the shared store forever. The budget must
@@ -586,6 +631,124 @@ TEST(PayloadPoolBudget, SharedStoreHonorsByteBudget) {
     EXPECT_LE(high_water.load(), kBudget) << "budget was exceeded at some point";
     w.set_payload_pool_budget(0);  // shrink: must trim the store right away
     EXPECT_EQ(w.payload_pool_resident_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk-pipelined rendezvous
+
+TEST(RendezvousPipeline, PipelinedRendezvousBitIdenticalToSerial) {
+    // Large strided persistent exchange, rendezvous forced. With the
+    // pipeline on, the fused Pack+Send must run (counter attests) and the
+    // received bytes must match the serial path exactly.
+    constexpr std::size_t kBlocks = 4096;
+    constexpr std::size_t kElems = 16;  // 512 KiB payload, > pipeline_chunk
+    auto run_once = [&](bool pipelined, std::vector<double>* out,
+                        std::uint64_t* fused_msgs) {
+        World w(2);
+        w.run([&](Comm& c) {
+            c.set_rendezvous_threshold(1);
+            c.set_rendezvous_pipeline(pipelined);
+            const auto n = static_cast<std::size_t>(c.size());
+            const int peer = 1 - c.rank();
+            auto block = Datatype::contiguous(kElems, Datatype::float64());
+            auto strided = Datatype::vector(kBlocks, 1, 2, block);
+            std::vector<double> src(kBlocks * kElems * 2);
+            for (std::size_t i = 0; i < src.size(); ++i) {
+                src[i] = static_cast<double>(c.rank() + 1) * static_cast<double>(i % 977);
+            }
+            std::vector<double> dst(kBlocks * kElems, 0.0);
+            std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
+            std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
+            std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
+            scounts[static_cast<std::size_t>(peer)] = 1;
+            stypes[static_cast<std::size_t>(peer)] = strided;
+            rcounts[static_cast<std::size_t>(peer)] = kBlocks * kElems;
+            rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
+            // Chunk pipelining is a rendezvous-send mechanism; keep the
+            // plan on the two-sided path it instruments.
+            coll::CollConfig cfg;
+            cfg.persistent_protocol = rt::Protocol::Rendezvous;
+            coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes,
+                                     cfg);
+            // The fused claim requires the peer's receive to be posted when
+            // the send arrives; on an oversubscribed machine a descheduled
+            // receiver degrades it to pack-then-send (by design). Keep
+            // executing until rank 0's counter attests a fused send, with the
+            // break decision exchanged so both ranks stay in lockstep on the
+            // collective. Every execute overwrites dst in full, so the
+            // iteration count does not affect the bit-identical comparison.
+            const int max_iters = pipelined ? 64 : 3;
+            int done = 0;
+            for (int it = 0; it < max_iters && !done; ++it) {
+                plan.execute(src.data(), dst.data());
+                int flag = !pipelined && it == 2;
+                if (c.rank() == 0) {
+                    if (pipelined) flag = c.counters().rt_rdzv_pipelined_msgs > 0 ? 1 : 0;
+                    c.send_n(&flag, 1, 1, 901);
+                } else {
+                    c.recv_n(&flag, 1, 0, 901);
+                }
+                done = flag;
+            }
+            c.barrier();
+            if (c.rank() == 0) {
+                *out = dst;
+                *fused_msgs = c.counters().rt_rdzv_pipelined_msgs;
+            }
+        });
+    };
+    std::vector<double> serial, piped;
+    std::uint64_t serial_fused = 0, piped_fused = 0;
+    run_once(false, &serial, &serial_fused);
+    run_once(true, &piped, &piped_fused);
+    EXPECT_EQ(serial_fused, 0u);
+    EXPECT_GT(piped_fused, 0u);
+    ASSERT_EQ(serial.size(), piped.size());
+    EXPECT_EQ(0, std::memcmp(serial.data(), piped.data(), serial.size() * sizeof(double)));
+    // Sanity: the payload actually came from the peer.
+    EXPECT_DOUBLE_EQ(piped[1], 2.0 * 1.0);
+}
+
+TEST(RendezvousPipeline, PipelinedPlanCorrectUnderFaultMatrix) {
+    // Under an active SchedulePolicy the staged claim declines and the
+    // schedule falls back to pack-then-send; results must stay correct and
+    // the fused counter must stay zero.
+    constexpr std::size_t kBlocks = 2048;
+    constexpr std::size_t kElems = 16;
+    for (std::uint64_t seed : {7ull, 99ull}) {
+        World w(2);
+        w.set_schedule(SchedulePolicy::perturb(seed, 2));
+        w.run([&](Comm& c) {
+            c.set_rendezvous_threshold(1);
+            const auto n = static_cast<std::size_t>(c.size());
+            const int peer = 1 - c.rank();
+            auto block = Datatype::contiguous(kElems, Datatype::float64());
+            auto strided = Datatype::vector(kBlocks, 1, 2, block);
+            std::vector<double> src(kBlocks * kElems * 2);
+            for (std::size_t i = 0; i < src.size(); ++i) {
+                src[i] = static_cast<double>(i % 353);
+            }
+            std::vector<double> dst(kBlocks * kElems, -1.0);
+            std::vector<std::size_t> scounts(n, 0), rcounts(n, 0);
+            std::vector<std::ptrdiff_t> sdispls(n, 0), rdispls(n, 0);
+            std::vector<Datatype> stypes(n, Datatype::byte()), rtypes(n, Datatype::byte());
+            scounts[static_cast<std::size_t>(peer)] = 1;
+            stypes[static_cast<std::size_t>(peer)] = strided;
+            rcounts[static_cast<std::size_t>(peer)] = kBlocks * kElems;
+            rtypes[static_cast<std::size_t>(peer)] = Datatype::float64();
+            coll::AlltoallwPlan plan(c, scounts, sdispls, stypes, rcounts, rdispls, rtypes);
+            plan.execute(src.data(), dst.data());
+            for (std::size_t b = 0; b < kBlocks; ++b) {
+                for (std::size_t e = 0; e < kElems; ++e) {
+                    ASSERT_DOUBLE_EQ(dst[b * kElems + e],
+                                     static_cast<double>((b * kElems * 2 + e) % 353))
+                        << "block " << b << " elem " << e;
+                }
+            }
+            EXPECT_EQ(c.counters().rt_rdzv_pipelined_msgs, 0u);
+            c.barrier();
+        });
+    }
 }
 
 }  // namespace

@@ -847,4 +847,56 @@ TEST(PersistentPlan, TwoSidedPlansObeyTheEngineRule) {
     }
 }
 
+// Protocol::Auto is one static size rule, so a receiver knows exactly which
+// sources are rendezvous-bound and sends a clear-to-send only to those. A
+// plan whose peers all sit below the default threshold (the Fig. 15 ring's
+// 800 B messages) carries no handshake at all: no token sends on the
+// receive side, no token receives on the send side.
+TEST(PersistentPlan, EagerPeersGetNoClearToSend) {
+    constexpr int kRanks = 4;
+    constexpr std::size_t kBytes = 800;
+    constexpr int kCtsOffset = 0x80;  // persistent.cpp's clear-to-send lane
+    World w(kRanks);
+    w.run([&](Comm& c) {
+        ASSERT_EQ(c.rendezvous_threshold(), rt::kDefaultRendezvousThreshold);
+        const auto n = static_cast<std::size_t>(c.size());
+        const auto me = static_cast<std::size_t>(c.rank());
+        std::vector<std::size_t> counts(n, kBytes);
+        counts[me] = 0;
+        std::vector<std::ptrdiff_t> displs(n);
+        for (std::size_t i = 0; i < n; ++i) displs[i] = static_cast<std::ptrdiff_t>(i * kBytes);
+        const std::vector<Datatype> types(n, Datatype::byte());
+        CollConfig config;
+        config.persistent_protocol = rt::Protocol::Eager;
+        coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types, config);
+        ASSERT_FALSE(plan.rma());
+
+        std::size_t cts_ops = 0, sends = 0;
+        for (const coll::ScheduleOp& op : plan.schedule().ops) {
+            const bool p2p = op.kind == coll::ScheduleOpKind::Send ||
+                             op.kind == coll::ScheduleOpKind::Recv;
+            if (p2p && op.tag_offset == kCtsOffset) ++cts_ops;
+            if (op.kind == coll::ScheduleOpKind::Send) {
+                ++sends;
+                EXPECT_EQ(op.proto, rt::Protocol::Eager);
+            }
+        }
+        EXPECT_EQ(cts_ops, 0u);
+        EXPECT_EQ(sends, n - 1);
+
+        std::vector<std::uint8_t> src(n * kBytes), dst(n * kBytes, 0);
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            src[i] = static_cast<std::uint8_t>(me * 31 + i);
+        }
+        plan.execute(src.data(), dst.data());
+        for (std::size_t p = 0; p < n; ++p) {
+            if (p == me) continue;
+            for (std::size_t b = 0; b < kBytes; ++b) {
+                const std::size_t i = me * kBytes + b;  // peer p's block for this rank
+                ASSERT_EQ(dst[p * kBytes + b], static_cast<std::uint8_t>(p * 31 + i));
+            }
+        }
+    });
+}
+
 }  // namespace
