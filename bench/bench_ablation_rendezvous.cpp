@@ -1,7 +1,8 @@
-// Ablation: the rendezvous threshold (default 32 KiB).
+// Ablation: the simulator's rendezvous threshold (default 32 KiB).
 //
-// Two views of the same tradeoff. In the LogGP simulator the protocol
-// split is explicit in the cost model: an eager send pays the staging
+// Two views of the same tradeoff, both in the LogGP simulator, which
+// models the paper's MVAPICH2 testbed. The protocol split is explicit in
+// the cost model: an eager send pays the staging
 // copy twice (sender pack, receiver unpack), a rendezvous send pays one
 // handshake round trip but moves its bytes once. On the paper testbed
 // (copy at 0.00025 us/B, handshake 9.4 us) the copy the protocol saves
@@ -10,26 +11,17 @@
 // that window. Sweeping the threshold over a log-uniform message mix
 // traces the U-curve around that point.
 //
-// The real-runtime sweep replays the pre-posted pingpong from
-// bench_rendezvous per message size under "always eager" vs "always
-// rendezvous" and reports the measured single-copy benefit: noise-level
-// at small sizes (the posted-queue probe is cheap but so is the copy),
-// approaching 2x once the payload dwarfs the synchronization.
-//
-// A third view sweeps the same threshold grid over four Fig. 15/16-like
+// The second view sweeps the same threshold grid over four Fig. 15/16-like
 // communication shapes and reports each shape's optimal static threshold.
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "netsim/sim.hpp"
-#include "runtime/comm.hpp"
 
 using namespace nncomm;
-using dt::Datatype;
 
 namespace {
 
@@ -154,45 +146,9 @@ std::size_t best_static_threshold(const Shape& s, double* best_makespan) {
     return best_thr;
 }
 
-// ---- Real-runtime sweep ---------------------------------------------------
-
-constexpr int kIters = 200;
-constexpr int kDataTag = 7;
-constexpr int kTokenTag = 8;
-
-/// Pre-posted pingpong of `bytes` under a fixed threshold; per-iter ms.
-double pingpong_ms(std::size_t bytes, std::size_t threshold) {
-    double out = 0.0;
-    rt::World w(2);
-    w.run([&](rt::Comm& c) {
-        c.set_rendezvous_threshold(threshold);
-        const int peer = 1 - c.rank();
-        std::vector<std::uint8_t> sendbuf(bytes, 0x5a);
-        std::vector<std::uint8_t> recvbuf(bytes, 0);
-        auto exchange = [&] {
-            rt::Request r = c.irecv(recvbuf.data(), bytes, Datatype::byte(), peer, kDataTag);
-            int token = 1;
-            c.send_n(&token, 1, peer, kTokenTag);
-            c.recv_n(&token, 1, peer, kTokenTag);
-            c.send(sendbuf.data(), bytes, Datatype::byte(), peer, kDataTag);
-            c.wait(r);
-        };
-        for (int it = 0; it < 10; ++it) exchange();
-        c.barrier();
-        benchutil::Stopwatch sw;
-        for (int it = 0; it < kIters; ++it) exchange();
-        const double ms = sw.ms() / kIters;
-        c.barrier();
-        if (c.rank() == 0) out = ms;
-    });
-    return out;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-    const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-
+int main() {
     std::printf("== Ablation: rendezvous threshold ==\n\n");
     std::printf("simulator, paper testbed: rank 0 pingpongs a log-uniform mix\n"
                 "(256 B x64 ... 4 MiB x2, %d round trips) off rank 1\n\n",
@@ -213,7 +169,7 @@ int main(int argc, char** argv) {
     }
     sweep.print();
     std::printf("\nbest threshold in sweep: %s (default %llu)\n", threshold_name(best_thr).c_str(),
-                static_cast<unsigned long long>(rt::kDefaultRendezvousThreshold));
+                static_cast<unsigned long long>(sim::ClusterConfig{}.rendezvous_threshold));
 
     // Per-shape static optimum over the same grid, reported in the JSON
     // as well as the human-readable table.
@@ -232,22 +188,6 @@ int main(int argc, char** argv) {
         shape_tab.add_row({shape.name, threshold_name(thr), benchutil::fmt(mk, 1)});
     }
     shape_tab.print();
-
-    if (!smoke) {
-        std::printf(
-            "\nreal runtime: pre-posted pingpong, always-eager vs always-rendezvous\n\n");
-        benchutil::Table rt_tab({"Bytes", "Eager (ms)", "Rendezvous (ms)", "Speedup"});
-        for (std::size_t bytes :
-             {std::size_t{1} << 10, std::size_t{1} << 13, std::size_t{1} << 15,
-              std::size_t{1} << 17, std::size_t{1} << 20, std::size_t{1} << 22}) {
-            const double eager = pingpong_ms(bytes, kNever);
-            const double rdv = pingpong_ms(bytes, 0);
-            rt_tab.add_row({std::to_string(bytes), benchutil::fmt(eager, 4),
-                            benchutil::fmt(rdv, 4),
-                            benchutil::fmt(rdv > 0.0 ? eager / rdv : 0.0, 2)});
-        }
-        rt_tab.print();
-    }
 
     FILE* f = std::fopen("BENCH_ablation_rendezvous.json", "w");
     if (f) {
@@ -270,8 +210,7 @@ int main(int argc, char** argv) {
     }
 
     std::printf("\nbelow the threshold the saved copy is cheaper than the handshake the\n"
-                "simulator charges (and noise-level in the threaded runtime, where the\n"
-                "posted-queue probe replaces the handshake); above it the second copy\n"
-                "dominates. 32 KiB sits in the optimal window on the paper testbed.\n");
+                "simulator charges; above it the second copy dominates. 32 KiB sits in\n"
+                "the optimal window on the paper testbed.\n");
     return 0;
 }

@@ -45,9 +45,8 @@ struct Results {
     std::uint64_t engine_builds = 0;
     std::uint64_t scratch_allocs = 0;
     std::uint64_t steady_payload_allocs = 0;  // must be 0: pool fully recycles
-    std::uint64_t zero_copy_msgs = 0;
     std::uint64_t pool_hits = 0;
-    std::uint64_t bytes_copied = 0;  // once per zero-copy message, twice per buffered
+    std::uint64_t bytes_copied = 0;
 };
 
 }  // namespace
@@ -105,7 +104,6 @@ int main() {
                     res.engine_builds = c.engine_builds;
                     res.scratch_allocs = c.scratch_allocs;
                     res.steady_payload_allocs = steady_allocs;
-                    res.zero_copy_msgs = c.rt_zero_copy_msgs;
                     res.pool_hits = c.rt_pool_hits;
                     res.bytes_copied = c.rt_bytes_copied;
                 }
@@ -172,9 +170,8 @@ int main() {
                 static_cast<unsigned long long>(res.engine_builds),
                 static_cast<unsigned long long>(res.scratch_allocs));
     std::printf("runtime counters: steady payload_allocs=%llu (require 0) "
-                "zero_copy_msgs=%llu pool_hits=%llu bytes_copied=%llu\n",
+                "pool_hits=%llu bytes_copied=%llu\n",
                 static_cast<unsigned long long>(res.steady_payload_allocs),
-                static_cast<unsigned long long>(res.zero_copy_msgs),
                 static_cast<unsigned long long>(res.pool_hits),
                 static_cast<unsigned long long>(res.bytes_copied));
 
@@ -196,13 +193,12 @@ int main() {
         std::fprintf(f, "  \"steady_speedup_vs_nonpersistent\": %.4f,\n", speedup);
         std::fprintf(f, "  \"optimized_counters\": { \"plan_hits\": %llu, "
                         "\"engine_builds\": %llu, \"scratch_allocs\": %llu, "
-                        "\"steady_payload_allocs\": %llu, \"zero_copy_msgs\": %llu, "
+                        "\"steady_payload_allocs\": %llu, "
                         "\"pool_hits\": %llu, \"bytes_copied\": %llu },\n",
                      static_cast<unsigned long long>(res.plan_hits),
                      static_cast<unsigned long long>(res.engine_builds),
                      static_cast<unsigned long long>(res.scratch_allocs),
                      static_cast<unsigned long long>(res.steady_payload_allocs),
-                     static_cast<unsigned long long>(res.zero_copy_msgs),
                      static_cast<unsigned long long>(res.pool_hits),
                      static_cast<unsigned long long>(res.bytes_copied));
         std::fprintf(f, "  \"pass\": %s\n", pass ? "true" : "false");

@@ -12,15 +12,9 @@ namespace {
 /// messages in flight on the same communicator. (0x500: the previous 0x300
 /// base collided with bcast's tag.)
 constexpr int kPersistentTagBase = rt::kInternalTagBase + 0x500;
-/// Clear-to-send lane: zero-byte tokens receivers send once their large
-/// (rendezvous-bound) receives are posted. Zero-byte messages bypass the
-/// payload pool entirely, so the handshake itself allocates nothing. The
-/// lane is an offset within the persistent tag space (0x500 + 0x80 keeps
-/// the old wire tags bit-for-bit).
-constexpr int kCtsOffset = 0x80;
 /// One-sided plans exchange receive layouts exactly once, at plan time, on
-/// this lane (disjoint from the CTS lane; steady state then moves zero
-/// control messages).
+/// this lane (disjoint from the payload lane at offset 0; steady state then
+/// moves zero control messages).
 constexpr int kRmaLayoutExchange = 0x100;
 }  // namespace
 
@@ -38,28 +32,14 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
                      "AlltoallwPlan: all argument arrays must have one entry per rank");
     const int rank = comm.rank();
 
-    struct SendPeer {
+    struct Peer {
         int rank;
         std::size_t count;
         std::ptrdiff_t displ;
         dt::Datatype type;
         std::uint64_t bytes;
-        rt::Protocol proto;  ///< volume-derived, frozen at plan time
     };
-    struct RecvPeer {
-        int rank;
-        std::size_t count;
-        std::ptrdiff_t displ;
-        dt::Datatype type;
-        std::uint64_t bytes;
-        /// Mirror of the sender's frozen Rendezvous decision (same volume,
-        /// same threshold): after posting this receive, the schedule sends
-        /// the source a zero-byte clear-to-send so the payload send always
-        /// finds the receive posted and the single-copy path never races.
-        bool cts;
-    };
-    std::vector<SendPeer> sends;
-    std::vector<RecvPeer> recvs;
+    std::vector<Peer> sends, recvs;
 
     bool has_self = false;
     std::size_t self_i = 0;
@@ -80,23 +60,10 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
             continue;
         }
         if (svol > 0) {
-            // Boundary contract shared with try_rendezvous / phase_protocol
-            // / netsim: rendezvous iff nonempty AND svol >= threshold. The
-            // svol > 0 guard above supplies the nonempty half; exactly-at-
-            // threshold volumes go rendezvous on every layer.
-            sends.push_back({static_cast<int>(i), sendcounts[i], sdispls[i], sendtypes[i],
-                             svol,
-                             svol >= comm.rendezvous_threshold() ? rt::Protocol::Rendezvous
-                                                                 : rt::Protocol::Eager});
+            sends.push_back({static_cast<int>(i), sendcounts[i], sdispls[i], sendtypes[i], svol});
         }
         if (rvol > 0) {
-            // Matching type signatures make rvol here equal svol on the
-            // source, so both ends freeze the same protocol decision —
-            // provided every rank runs the same rendezvous threshold (the
-            // same uniformity every collective already demands of its
-            // arguments).
-            recvs.push_back({static_cast<int>(i), recvcounts[i], rdispls[i], recvtypes[i],
-                             rvol, rvol >= comm.rendezvous_threshold()});
+            recvs.push_back({static_cast<int>(i), recvcounts[i], rdispls[i], recvtypes[i], rvol});
         }
     }
 
@@ -106,7 +73,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     // small/large boundary ordered exactly as the one-shot binned
     // algorithm orders it.
     const std::uint64_t small = config.small_msg_threshold;
-    std::sort(sends.begin(), sends.end(), [small](const SendPeer& a, const SendPeer& b) {
+    std::sort(sends.begin(), sends.end(), [small](const Peer& a, const Peer& b) {
         const bool as = a.bytes < small, bs = b.bytes < small;
         if (as != bs) return as;
         return a.bytes < b.bytes || (a.bytes == b.bytes && a.rank < b.rank);
@@ -118,7 +85,7 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
     // closing fence is collective, and a rank with zero local traffic
     // cannot see its peers' volumes — so it is a pure function of the
     // config and the build/env gates, never of the traffic matrix.
-    // Protocol::Eager / Rendezvous in the config force the two-sided graph.
+    // Protocol::Eager in the config forces the two-sided graph.
     rma_ = rt::rma_selection_enabled() &&
            (config.persistent_protocol == rt::Protocol::Auto ||
             config.persistent_protocol == rt::Protocol::Rma);
@@ -130,9 +97,9 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         // that region (and we learn ours at each destination) in a single
         // setup-time exchange of heap handles, the hand-off Win::create uses
         // for its control block; steady state then puts straight into the
-        // peers' receive buffers with no envelopes, no CTS, no unpacks.
+        // peers' receive buffers with no envelopes and no unpacks.
         std::ptrdiff_t lo = PTRDIFF_MAX, hi = PTRDIFF_MIN;
-        for (const RecvPeer& p : recvs) {
+        for (const Peer& p : recvs) {
             const auto [first, last] = p.type.flat().footprint(p.count);
             lo = std::min(lo, p.displ + first);
             hi = std::max(hi, p.displ + last);
@@ -147,19 +114,19 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         std::vector<std::uint64_t> handles_in(n, 0), handles_out(n, 0);
         std::vector<rt::Request> xreqs;
         xreqs.reserve(sends.size() + recvs.size());
-        for (const SendPeer& p : sends) {
+        for (const Peer& p : sends) {
             xreqs.push_back(comm.irecv_i(&handles_in[static_cast<std::size_t>(p.rank)],
                                          sizeof(std::uint64_t), byte, p.rank, xtag));
         }
-        for (const RecvPeer& p : recvs) {
+        for (const Peer& p : recvs) {
             auto* layout = new RecvLayout{p.displ - recv_lo_, p.count, p.type};
             auto& h = handles_out[static_cast<std::size_t>(p.rank)];
             h = reinterpret_cast<std::uint64_t>(layout);
-            xreqs.push_back(comm.isend_i(&h, sizeof h, byte, p.rank, xtag, rt::Protocol::Eager));
+            xreqs.push_back(comm.isend_i(&h, sizeof h, byte, p.rank, xtag));
         }
         for (rt::Request& rq : xreqs) comm.wait(rq);
         std::vector<RecvLayout> targets(n);
-        for (const SendPeer& p : sends) {
+        for (const Peer& p : sends) {
             const auto d = static_cast<std::size_t>(p.rank);
             auto* layout = reinterpret_cast<RecvLayout*>(handles_in[d]);
             targets[d] = std::move(*layout);
@@ -176,17 +143,13 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         return;
     }
 
-    // Compile the schedule. Emission order is execution order for the
-    // dep-free prefix: typed receives post first, then the clear-to-sends
-    // fire (proving to each rendezvous-bound source that this rank's
-    // receives are posted), then the self copy, then the eager pack+send
-    // pairs in binned order. Rendezvous sends occupy round 1: their packs
-    // are released by the matching clear-to-send token.
+    // Compile the schedule. Emission order is execution order: typed
+    // receives post first, then the self copy, then the pack+send pairs in
+    // binned order, all in one round.
     Schedule s;
     s.tag_base = kPersistentTagBase;
-    bool any_rdv = false;
 
-    for (const RecvPeer& p : recvs) {
+    for (const Peer& p : recvs) {
         ScheduleOp rcv;
         rcv.kind = ScheduleOpKind::Recv;
         rcv.peer = p.rank;
@@ -195,15 +158,6 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         rcv.type = p.type;
         rcv.bytes = p.bytes;
         s.ops.push_back(std::move(rcv));
-    }
-    for (const RecvPeer& p : recvs) {
-        if (!p.cts) continue;
-        ScheduleOp cts;
-        cts.kind = ScheduleOpKind::Send;
-        cts.peer = p.rank;
-        cts.tag_offset = kCtsOffset;
-        cts.proto = rt::Protocol::Eager;
-        s.ops.push_back(std::move(cts));  // zero-byte: a.space == None
     }
     if (has_self) {
         // Self exchange staged through a persistent slot (slot >= 0 routes
@@ -221,52 +175,31 @@ AlltoallwPlan::AlltoallwPlan(rt::Comm& comm, std::span<const std::size_t> sendco
         s.ops.push_back(std::move(cp));
     }
     for (std::size_t k = 0; k < sends.size(); ++k) {
-        const SendPeer& p = sends[k];
-        const bool rdv = p.proto == rt::Protocol::Rendezvous;
-        const int round = rdv ? 1 : 0;
-        any_rdv = any_rdv || rdv;
-
-        int cts_idx = -1;
-        if (rdv) {
-            // Rendezvous packs wait for the receiver's token.
-            ScheduleOp cts;
-            cts.kind = ScheduleOpKind::Recv;
-            cts.peer = p.rank;
-            cts.tag_offset = kCtsOffset;
-            cts.round = round;
-            s.ops.push_back(std::move(cts));  // zero-byte token
-            cts_idx = static_cast<int>(s.ops.size()) - 1;
-        }
-
+        const Peer& p = sends[k];
         ScheduleOp pk;
         pk.kind = ScheduleOpKind::Pack;
-        pk.round = round;
         pk.a = {BufRef::Space::Send, p.displ};
         pk.count = p.count;
         pk.type = p.type;
         pk.slot = static_cast<int>(k);
         pk.bytes = p.bytes;
-        if (cts_idx >= 0) pk.deps = {cts_idx};
         s.ops.push_back(std::move(pk));
         const int pack_idx = static_cast<int>(s.ops.size()) - 1;
 
         ScheduleOp snd;
         snd.kind = ScheduleOpKind::Send;
-        snd.round = round;
         snd.peer = p.rank;
         snd.a = {BufRef::Space::Send, p.displ};  // informational; wire uses the slot
         snd.count = p.count;
         snd.type = p.type;
         snd.slot = static_cast<int>(k);
         snd.bytes = p.bytes;
-        snd.proto = p.proto;
         snd.deps = {pack_idx};
         s.ops.push_back(std::move(snd));
     }
 
-    s.rounds = any_rdv ? 2 : 1;
     s.staging.reserve(sends.size() + (has_self ? 1u : 0u));
-    for (const SendPeer& p : sends) s.staging.push_back(static_cast<std::size_t>(p.bytes));
+    for (const Peer& p : sends) s.staging.push_back(static_cast<std::size_t>(p.bytes));
     if (has_self) s.staging.push_back(static_cast<std::size_t>(self_vol));
 
     request_ = CollRequest(*comm_, std::move(s));

@@ -6,8 +6,7 @@
 // pattern the paper measures (§5.4 — the same VecScatter executed every
 // solver iteration), all of that is loop-invariant. An AlltoallwPlan hoists
 // it out of the loop: the plan is a cached compiled coll::Schedule — the
-// binned send order, the frozen per-peer protocol decisions and the
-// clear-to-send handshake are ops of the graph — plus one persistent
+// binned send order is the order of its ops — plus one persistent
 // CollRequest whose staging buffers and pack engines survive across
 // executes.
 //
@@ -28,8 +27,8 @@
 // coll_schedule_cache_hits event.
 //
 // Because the executor is progress-driven, the plan is split-phase for
-// free: begin() fires the schedule (receives posted, self copy done, eager
-// sends gone), test() makes overlap progress, end() completes. execute()
+// free: begin() fires the schedule (receives posted, self copy done, sends
+// gone), test() makes overlap progress, end() completes. execute()
 // is begin() + end().
 #pragma once
 
@@ -75,7 +74,7 @@ public:
     void execute(const void* sendbuf, void* recvbuf);
 
     /// Split-phase execute: fires the schedule (receives posted, self copy
-    /// done, eligible sends gone) and returns. Overlap compute, optionally
+    /// done, sends gone) and returns. Overlap compute, optionally
     /// poking test(), then end(). Buffer contracts as execute().
     void begin(const void* sendbuf, void* recvbuf);
     /// One nonblocking progress pass; true once the exchange completed.

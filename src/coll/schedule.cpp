@@ -2,7 +2,7 @@
 //
 // The builders are the former straight-line collective implementations
 // (allgatherv.cpp / alltoallw.cpp / basic.cpp) re-expressed as op-graph
-// emission: same peers, same tags, same protocols, same local-copy and
+// emission: same peers, same tags, same local-copy and
 // apply orders — they just *describe* the communication instead of
 // performing it. src/netsim lowers the identical Schedule objects into
 // LogGP simulator programs.
@@ -24,19 +24,6 @@ constexpr int kTagBcast = rt::kInternalTagBase + 0x300;
 constexpr int kTagGather = rt::kInternalTagBase + 0x301;
 constexpr int kTagScatter = rt::kInternalTagBase + 0x302;
 constexpr int kTagReduce = rt::kInternalTagBase + 1;
-
-// Volume hint for one phase: the algorithm knows exactly how many bytes a
-// step moves, so bulk steps ride the zero-copy rendezvous path (their
-// receives are preposted by the executor) and small latency-bound steps
-// stay eager without consulting the size heuristic per message.
-rt::Protocol phase_protocol(std::size_t bytes, std::size_t threshold) {
-    // Shared boundary contract (runtime/comm.cpp try_rendezvous,
-    // coll/persistent.cpp, netsim/sim.cpp): rendezvous iff the message is
-    // nonempty and bytes >= threshold. Without the bytes > 0 guard a
-    // threshold of 0 would hand zero-byte steps a Rendezvous hint the
-    // runtime then has to walk back.
-    return (bytes > 0 && bytes >= threshold) ? rt::Protocol::Rendezvous : rt::Protocol::Eager;
-}
 
 std::ptrdiff_t block_offset(std::span<const std::size_t> displs, const dt::Datatype& elem,
                             int b) {
@@ -65,8 +52,7 @@ Schedule build_allgatherv_schedule(int rank, int nranks, AllgathervAlgo algo,
                                    std::size_t sendcount, const dt::Datatype& sendtype,
                                    std::span<const std::size_t> recvcounts,
                                    std::span<const std::size_t> displs,
-                                   const dt::Datatype& recvtype,
-                                   std::size_t rendezvous_threshold) {
+                                   const dt::Datatype& recvtype) {
     Schedule s;
     s.tag_base = kTagAllgatherv;
     const int n = nranks;
@@ -110,7 +96,6 @@ Schedule build_allgatherv_schedule(int rank, int nranks, AllgathervAlgo algo,
         op.count = count;
         op.type = type;
         op.bytes = static_cast<std::uint64_t>(count) * type.size();
-        op.proto = phase_protocol(static_cast<std::size_t>(op.bytes), rendezvous_threshold);
         op.deps = std::move(deps);
         s.ops.push_back(std::move(op));
         return static_cast<int>(s.ops.size()) - 1;
@@ -265,8 +250,7 @@ Schedule build_alltoallw_schedule(int rank, int nranks, AlltoallwAlgo algo,
     // synchronizing empty message); small-volume sends are processed before
     // large ones so cheap peers are not delayed behind expensive
     // noncontiguous packing. One tag per invocation (the epoch lane keeps
-    // back-to-back calls from aliasing); receives prepost, the large bin is
-    // hinted onto the zero-copy rendezvous path.
+    // back-to-back calls from aliasing); receives prepost.
     constexpr int kBinnedTag = 0x80;
     for (int src = 0; src < n; ++src) {
         if (src == rank) continue;
@@ -305,21 +289,20 @@ Schedule build_alltoallw_schedule(int rank, int nranks, AlltoallwAlgo algo,
     std::sort(small_bin.begin(), small_bin.end(), by_volume);
     std::sort(large_bin.begin(), large_bin.end(), by_volume);
 
-    auto push_peer_send = [&](const Peer& p, rt::Protocol proto) {
+    auto push_peer_send = [&](const Peer& p) {
         const auto d = static_cast<std::size_t>(p.rank);
         ScheduleOp snd;
         snd.kind = ScheduleOpKind::Send;
         snd.peer = p.rank;
         snd.tag_offset = kBinnedTag;
-        snd.proto = proto;
         snd.a = {BufRef::Space::Send, sdispls[d]};
         snd.count = sendcounts[d];
         snd.type = sendtypes[d];
         snd.bytes = p.volume;
         s.ops.push_back(std::move(snd));
     };
-    for (const Peer& p : small_bin) push_peer_send(p, rt::Protocol::Eager);
-    for (const Peer& p : large_bin) push_peer_send(p, rt::Protocol::Rendezvous);
+    for (const Peer& p : small_bin) push_peer_send(p);
+    for (const Peer& p : large_bin) push_peer_send(p);
     return s;
 }
 
@@ -396,7 +379,6 @@ Schedule build_alltoallw_rma_schedule(int rank, int nranks,
         put.kind = ScheduleOpKind::Put;
         put.round = 1;
         put.peer = p.rank;
-        put.proto = rt::Protocol::Rma;
         put.a = {BufRef::Space::Send, sdispls[d]};
         put.count = sendcounts[d];
         put.type = sendtypes[d];
@@ -635,33 +617,6 @@ CollRequest::CollRequest(rt::Comm& comm, Schedule schedule)
         }
     }
 
-    // Fusion precompute: a Pack i feeding exactly one Rendezvous Send j
-    // through a staging slot no other op touches can stream chunk-by-chunk
-    // into the receiver (try_fused) instead of pack-then-send. The staging
-    // slot doubles as the pipeline window, so the pair must be its only
-    // users (slot_refs == 2) and the Pack must have no other dependants
-    // (the fused path leaves only the final chunk in the slot).
-    const std::size_t nops = sched_.ops.size();
-    fused_send_.assign(nops, -1);
-    std::vector<int> slot_refs(sched_.staging.size(), 0);
-    std::vector<int> dep_count(nops, 0);
-    for (const ScheduleOp& op : sched_.ops) {
-        if (op.slot >= 0) ++slot_refs[static_cast<std::size_t>(op.slot)];
-        for (int d : op.deps) ++dep_count[static_cast<std::size_t>(d)];
-    }
-    for (std::size_t j = 0; j < nops; ++j) {
-        const ScheduleOp& snd = sched_.ops[j];
-        if (snd.kind != ScheduleOpKind::Send || snd.slot < 0) continue;
-        if (snd.proto != rt::Protocol::Rendezvous) continue;
-        if (snd.deps.size() != 1) continue;
-        const auto p = static_cast<std::size_t>(snd.deps[0]);
-        const ScheduleOp& pk = sched_.ops[p];
-        if (pk.kind != ScheduleOpKind::Pack || pk.slot != snd.slot) continue;
-        if (dep_count[p] != 1) continue;
-        if (slot_refs[static_cast<std::size_t>(snd.slot)] != 2) continue;
-        fused_send_[p] = static_cast<int>(j);
-    }
-
     ++pending_setup_.coll_schedules_built;
 }
 
@@ -765,14 +720,14 @@ void CollRequest::post_send(std::size_t i) {
     if (op.slot >= 0) {
         // Staged send: the Pack dependency filled the persistent staging
         // slot; the wire sees contiguous bytes, so the runtime's send path
-        // is a single copy (or the zero-copy rendezvous move).
+        // is a single copy.
         reqs_[i] = comm_->isend_i(staging_[static_cast<std::size_t>(op.slot)].data(),
                                   static_cast<std::size_t>(op.bytes), dt::Datatype::byte(),
-                                  op.peer, tag, op.proto);
+                                  op.peer, tag);
     } else if (op.a.space == BufRef::Space::None) {
-        reqs_[i] = comm_->isend_i(&token_, 0, dt::Datatype::byte(), op.peer, tag, op.proto);
+        reqs_[i] = comm_->isend_i(&token_, 0, dt::Datatype::byte(), op.peer, tag);
     } else {
-        reqs_[i] = comm_->isend_i(resolve(op.a), op.count, op.type, op.peer, tag, op.proto);
+        reqs_[i] = comm_->isend_i(resolve(op.a), op.count, op.type, op.peer, tag);
     }
     state_[i] = kPosted;
 }
@@ -831,52 +786,13 @@ void CollRequest::run_local(std::size_t i) {
     }
 }
 
-bool CollRequest::try_fused(std::size_t i) {
-    const int j = fused_send_[i];
-    if (j < 0) return false;
-    const auto sj = static_cast<std::size_t>(j);
-    if (state_[sj] != kPending) return false;
-    if (!comm_->rendezvous_pipeline()) return false;
-    const ScheduleOp& pk = sched_.ops[i];
-    const ScheduleOp& snd = sched_.ops[sj];
-    const std::size_t total = static_cast<std::size_t>(snd.bytes);
-    const std::size_t chunk = comm_->engine_config().pipeline_chunk;
-    if (chunk == 0 || total <= chunk) return false;
-    // The producer packs through the send plan, so the pipeline runs only
-    // where rt::transfer would gather through it: plans allowed, and a
-    // specialized kernel (Irregular pack_range re-walks the layout to
-    // seek, which would make a k-chunk pipeline quadratic).
-    const dt::PackPlan& plan = pk.type.plan();
-    if (!rt::use_plans(engine_kind_, comm_->engine_config()) || !plan.specialized()) {
-        return false;
-    }
-
-    const std::byte* src = resolve(pk.a);
-    auto& buf = staging_[static_cast<std::size_t>(pk.slot)];
-    // No PhaseScope here: try_rendezvous_staged_i charges the whole
-    // pack+copy loop to Phase::Comm, same as the zero-copy staged path.
-    auto produce = [&](std::uint64_t pos, std::span<std::byte> out) {
-        plan.pack_range(pk.type.flat(), src, pk.count, pos, out, &step_);
-    };
-    if (!comm_->try_rendezvous_staged_i(snd.peer, tags_.tag(snd.tag_offset), total,
-                                        std::span<std::byte>(buf), produce)) {
-        return false;
-    }
-    ++step_.plan_hits;
-    step_.bytes_packed += total;
-    mark_done(i);
-    mark_done(sj);
-    return true;
-}
-
 bool CollRequest::pass() {
     if (done_) return true;
     bool moved = false;
     const std::size_t nops = sched_.ops.size();
 
-    // 1. Post every eligible receive first: the zero-copy rendezvous path
-    //    and the persistent plans' clear-to-send handshake both rely on
-    //    receives being posted before any send of the same pass fires.
+    // 1. Post every eligible receive first, so arrivals from the sends of
+    //    this pass match a posted receive instead of the unexpected queue.
     for (std::size_t i = 0; i < nops; ++i) {
         if (state_[i] != kPending || sched_.ops[i].kind != ScheduleOpKind::Recv) continue;
         if (!deps_done(sched_.ops[i])) continue;
@@ -902,9 +818,6 @@ bool CollRequest::pass() {
             NNCOMM_CHECK(win_ != nullptr);
             win_->fence_begin();
             state_[i] = kPosted;
-        } else if (op.kind == ScheduleOpKind::Pack && try_fused(i)) {
-            // Pack and its Send retired together through the chunk-pipelined
-            // rendezvous path.
         } else {
             run_local(i);
             mark_done(i);
@@ -1001,7 +914,7 @@ CollRequest iallgatherv(rt::Comm& comm, const void* sendbuf, std::size_t sendcou
 
     CollRequest req(comm,
                     build_allgatherv_schedule(rank, n, algo, sendcount, sendtype, recvcounts,
-                                              displs, recvtype, comm.rendezvous_threshold()));
+                                              displs, recvtype));
     req.start(sendbuf, recvbuf);
     return req;
 }

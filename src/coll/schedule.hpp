@@ -4,15 +4,14 @@
 //
 //   build — a pure function of (rank, size, shape) that emits a Schedule:
 //     a DAG of rounds whose ops are Send / Recv / Pack / Reduce / Copy /
-//     Put / Fence, each with explicit dependencies and a per-op rt::Protocol hint.
+//     Put / Fence, each with explicit dependencies.
 //     Builders perform no communication, so the netsim LogGP model lowers
 //     the *same* Schedule objects into simulator programs — the predicted
 //     Fig. 14/15 curves and the executable collectives can no longer drift.
 //
 //   execute — a progress-driven CollRequest state machine that runs the
 //     schedule on the runtime's delivery engine. Receives are posted as
-//     soon as their dependencies retire (so the zero-copy rendezvous path
-//     keeps its posted-receive precondition), local ops and sends fire in
+//     soon as their dependencies retire, local ops and sends fire in
 //     emission order, and completion is detected with the nonblocking
 //     Comm::test. wait() drives the request to completion; test() performs
 //     exactly one progress pass, which is what the split-phase VecScatter
@@ -97,16 +96,16 @@ using ReduceFn = void (*)(ReduceOp, void* acc, const void* in, std::size_t n);
 
 /// One node of the schedule DAG. `deps` lists indices of ops (always
 /// earlier in the vector) that must retire before this op may run;
-/// receives additionally post as early as their deps allow so rendezvous
-/// senders find them. `slot` stages Pack/Reduce/staged-Copy traffic
-/// through the request's persistent staging buffers; a Send with a slot
-/// puts the packed staging bytes on the wire instead of the typed `a`.
+/// receives additionally post as early as their deps allow, so arrivals
+/// match them instead of waiting in the unexpected queue. `slot` stages
+/// Pack/Reduce/staged-Copy traffic through the request's persistent
+/// staging buffers; a Send with a slot puts the packed staging bytes on
+/// the wire instead of the typed `a`.
 struct ScheduleOp {
     ScheduleOpKind kind = ScheduleOpKind::Send;
     int round = 0;       ///< progress-group; also the netsim lowering round
     int peer = -1;       ///< Send/Recv partner rank
     int tag_offset = 0;  ///< tag = TagSpace::tag(tag_offset)
-    rt::Protocol proto = rt::Protocol::Auto;  ///< Send volume hint
 
     BufRef a;  ///< Send src / Recv dst / Copy src / Pack src / Reduce acc
     std::size_t count = 0;
@@ -143,8 +142,7 @@ Schedule build_allgatherv_schedule(int rank, int nranks, AllgathervAlgo algo,
                                    std::size_t sendcount, const dt::Datatype& sendtype,
                                    std::span<const std::size_t> recvcounts,
                                    std::span<const std::size_t> displs,
-                                   const dt::Datatype& recvtype,
-                                   std::size_t rendezvous_threshold);
+                                   const dt::Datatype& recvtype);
 
 /// The paper's Eq. 1 outlier selection over the volume set.
 AllgathervAlgo resolve_allgatherv_algo(std::span<const std::uint64_t> volumes,
@@ -195,8 +193,8 @@ struct RecvLayout {
 /// fires one Put per nonzero destination straight into `targets[d]`, the
 /// destination's typed receive layout (binned small-first like the
 /// two-sided Binned schedule), plus the self Copy, and round 2 closes the
-/// epoch (Fence, depending on every Put). No Send/Recv, no CTS, no staging
-/// slots, no unpacks. `targets` is n-sized (unused entries ignored) and is
+/// epoch (Fence, depending on every Put). No Send/Recv, no staging slots,
+/// no unpacks. `targets` is n-sized (unused entries ignored) and is
 /// exchanged once at plan setup — steady state moves zero control messages.
 Schedule build_alltoallw_rma_schedule(int rank, int nranks,
                                       std::span<const std::size_t> sendcounts,
@@ -294,15 +292,6 @@ private:
     void post_recv(std::size_t i);
     void post_send(std::size_t i);
     void run_local(std::size_t i);
-    /// Chunk-pipelined rendezvous for a fusable Pack op: when Pack i feeds
-    /// exactly one Rendezvous Send through a private staging slot and the
-    /// matching receive is already posted, the pack streams straight into
-    /// the receiver through a pipeline_chunk-sized window of the slot
-    /// (rt::Comm::try_rendezvous_staged_i) and both ops retire at once.
-    /// Returns false — caller packs and sends serially — whenever the fused
-    /// transfer cannot run (pipeline disabled, small payload, unposted
-    /// receive, active SchedulePolicy, FIFO guard).
-    bool try_fused(std::size_t i);
     void mark_done(std::size_t i);
     void finalize();
     std::byte* resolve(const BufRef& ref) const;
@@ -316,10 +305,6 @@ private:
 
     std::vector<std::uint8_t> state_;
     std::vector<rt::Request> reqs_;
-    /// fused_send_[i] = index of the lone Rendezvous Send fed by Pack op i
-    /// through a staging slot referenced by no other op (-1: not fusable).
-    /// Computed once at construction from the schedule's static shape.
-    std::vector<int> fused_send_;
     std::vector<std::vector<std::byte>> staging_;              ///< persistent
     std::vector<std::unique_ptr<dt::PackEngine>> engines_;     ///< persistent
     std::vector<int> round_left_;

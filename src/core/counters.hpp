@@ -108,13 +108,13 @@ struct StatCounters {
     std::uint64_t sched_stalls = 0;         ///< injected sender stalls
     std::uint64_t sched_wakeup_delays = 0;  ///< suppressed waiter notifications
 
-    // Runtime transfer-protocol counters (runtime/comm.cpp). The eager path
-    // stages every payload in an envelope buffer (drawn from the per-world
-    // pool) and copies twice; the rendezvous path moves messages with an
-    // already-posted receive straight into the receiver's buffer in one
-    // pass. Sender-side events are charged to the sending rank; the
-    // receive-side unpack copy to the receiving rank.
-    std::uint64_t rt_zero_copy_msgs = 0;  ///< messages transferred rendezvous (no envelope)
+    // Runtime transfer counters (runtime/comm.cpp). The eager path stages
+    // every payload in an envelope buffer (drawn from the per-world pool)
+    // and copies twice. Sender-side events are charged to the sending rank;
+    // the receive-side unpack copy to the receiving rank.
+    /// Always 0: the zero-copy rendezvous it counted is retired. Kept
+    /// declared only because the benchmark (perfbench/) still reads it.
+    std::uint64_t rt_zero_copy_msgs = 0;
     std::uint64_t rt_bytes_copied = 0;    ///< payload bytes moved by runtime copy passes
     std::uint64_t rt_pool_hits = 0;       ///< payload buffers recycled from the world pool
     std::uint64_t rt_pool_misses = 0;     ///< pool-eligible acquires that found no free buffer
@@ -124,8 +124,8 @@ struct StatCounters {
     // mailbox delivers along per-(source, dest) lanes: an SPSC lock-free
     // ring is the fastpath, a mutex-guarded overflow list absorbs ring-full
     // spill and all SchedulePolicy-routed traffic. rt_lock_acquisitions
-    // counts transport-layer mutex acquisitions (overflow, posted-receive
-    // registry, shared payload pool, in-flight queues) so a workload can
+    // counts transport-layer mutex acquisitions (overflow, shared payload
+    // pool, in-flight queues) so a workload can
     // assert its steady state stays off the locks; rt_cv_waits/rt_cv_notifies
     // count actual condition-variable blocks and wakeups after the bounded
     // spin-then-sleep and notify-only-when-a-sleeper-is-registered gates.
@@ -158,14 +158,11 @@ struct StatCounters {
     std::uint64_t rt_sparse_msgs_recvd = 0;  ///< remote payload messages received
     std::uint64_t rt_sparse_probe_polls = 0; ///< consensus-loop iprobe passes
 
-    // Protocol-selection counters (runtime/comm.cpp). Every nonempty
-    // Protocol::Auto send tallies which side of the rendezvous threshold it
-    // fell on. The rt_rdzv_pipelined_* counters cover the chunk-pipelined
-    // rendezvous path where packing chunk k+1 overlaps the copy of chunk k.
-    std::uint64_t rt_proto_eager_chosen = 0;  ///< Auto resolutions that picked eager
-    std::uint64_t rt_proto_rdzv_chosen = 0;   ///< Auto resolutions that picked rendezvous
-    std::uint64_t rt_rdzv_pipelined_msgs = 0;    ///< fused pack+copy rendezvous sends
-    std::uint64_t rt_rdzv_pipelined_chunks = 0;  ///< chunks moved through the fused path
+    // Retired protocol-selection tallies: point-to-point sends are always
+    // buffered eager, so nothing increments these. Kept declared only
+    // because the benchmark (perfbench/) still reads them.
+    std::uint64_t rt_proto_eager_chosen = 0;
+    std::uint64_t rt_proto_rdzv_chosen = 0;
 
     // One-sided RMA counters (runtime/win.cpp + coll/persistent.cpp). Puts
     // and gets are window transfers (a typed put straight into the target's
@@ -230,8 +227,6 @@ struct StatCounters {
         }
         rt_proto_eager_chosen += o.rt_proto_eager_chosen;
         rt_proto_rdzv_chosen += o.rt_proto_rdzv_chosen;
-        rt_rdzv_pipelined_msgs += o.rt_rdzv_pipelined_msgs;
-        rt_rdzv_pipelined_chunks += o.rt_rdzv_pipelined_chunks;
         rt_rma_puts += o.rt_rma_puts;
         rt_rma_put_bytes += o.rt_rma_put_bytes;
         rt_rma_gets += o.rt_rma_gets;

@@ -171,7 +171,7 @@ void PackPlan::pack_range(const FlatType& flat, const std::byte* base, std::size
                           StatCounters* stats) const {
     std::size_t n = out.size();
     if (n == 0) return;
-    NNCOMM_ASSERT(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);
+    NNCOMM_CHECK(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);
     if (stats) ++stats->dt_kernel_dispatch[static_cast<std::size_t>(kernel_)];
     std::byte* dst = out.data();
 
@@ -314,7 +314,7 @@ void PackPlan::unpack_range(const FlatType& flat, std::byte* base, std::size_t c
                             StatCounters* stats) const {
     std::size_t n = in.size();
     if (n == 0) return;
-    NNCOMM_ASSERT(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);
+    NNCOMM_CHECK(pos + n <= static_cast<std::uint64_t>(instance_size_) * count);
     if (stats) ++stats->dt_kernel_dispatch[static_cast<std::size_t>(kernel_)];
     const std::byte* src = in.data();
 

@@ -314,7 +314,9 @@ __attribute__((target("avx2"))) void scatter_run_avx2(std::byte* dst, const std:
 // ---------------------------------------------------------------------------
 // AVX-512: hardware gather/scatter for the 4/8-byte families (the stride
 // families a hand loop cannot compact), full 512-bit moves for 64-byte
-// blocks and long runs.
+// blocks and long runs. The gathers use the all-lanes masked form with a
+// zero merge source: the same instruction as the unmasked intrinsic, whose
+// undefined merge source GCC 12 reports as maybe-uninitialized.
 
 __attribute__((target("avx512f,avx512dq"))) void gather8_avx512(std::byte* dst,
                                                                 const std::byte* src,
@@ -325,7 +327,8 @@ __attribute__((target("avx512f,avx512dq"))) void gather8_avx512(std::byte* dst,
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         const __m512i v =
-            _mm512_i64gather_epi64(vindex, src + static_cast<std::ptrdiff_t>(i) * stride, 1);
+            _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, vindex,
+                                        src + static_cast<std::ptrdiff_t>(i) * stride, 1);
         _mm512_storeu_si512(dst + i * 8, v);
     }
     for (; i < n; ++i) {
@@ -348,7 +351,8 @@ __attribute__((target("avx512f"))) void gather4_avx512(std::byte* dst, const std
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         const __m512i v =
-            _mm512_i32gather_epi32(vindex, src + static_cast<std::ptrdiff_t>(i) * stride, 1);
+            _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, vindex,
+                                        src + static_cast<std::ptrdiff_t>(i) * stride, 1);
         _mm512_storeu_si512(dst + i * 4, v);
     }
     for (; i < n; ++i) {

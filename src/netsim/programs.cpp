@@ -91,8 +91,7 @@ GathervSchedule resolve_allgatherv(std::span<const std::uint64_t> volumes,
 }
 
 void emit_allgatherv(std::vector<RankProgram>& progs, std::span<const std::uint64_t> volumes,
-                     GathervSchedule schedule, const AllgathervPolicy& policy, int tag0,
-                     std::size_t rendezvous_threshold) {
+                     GathervSchedule schedule, const AllgathervPolicy& policy, int tag0) {
     const int n = static_cast<int>(volumes.size());
     coll::AllgathervAlgo algo = coll::AllgathervAlgo::Ring;
     switch (resolve_allgatherv(volumes, schedule, policy)) {
@@ -117,8 +116,7 @@ void emit_allgatherv(std::vector<RankProgram>& progs, std::span<const std::uint6
     const dt::Datatype byte = dt::Datatype::byte();
     for (int r = 0; r < n; ++r) {
         const coll::Schedule sched = coll::build_allgatherv_schedule(
-            r, n, algo, counts[static_cast<std::size_t>(r)], byte, counts, displs, byte,
-            rendezvous_threshold);
+            r, n, algo, counts[static_cast<std::size_t>(r)], byte, counts, displs, byte);
         lower_schedule(progs[static_cast<std::size_t>(r)], sched, tag0, nullptr, nullptr, 0.0,
                        false);
     }
@@ -201,8 +199,7 @@ std::vector<RankProgram> allgatherv_program(const ClusterConfig& cluster,
     std::vector<RankProgram> progs(static_cast<std::size_t>(n));
     for (int it = 0; it < wl.iterations; ++it) {
         add_skew_ops(progs, cluster, rng);
-        emit_allgatherv(progs, wl.volumes, schedule, wl.policy, it * kTagsPerRound,
-                        cluster.rendezvous_threshold);
+        emit_allgatherv(progs, wl.volumes, schedule, wl.policy, it * kTagsPerRound);
     }
     return progs;
 }
@@ -304,8 +301,7 @@ void ProgramBuilder::add_allgatherv(std::span<const std::uint64_t> volumes,
                                     GathervSchedule schedule, const AllgathervPolicy& policy) {
     NNCOMM_CHECK_MSG(static_cast<int>(volumes.size()) == cluster_.nprocs,
                      "volume set/cluster rank-count mismatch");
-    emit_allgatherv(progs_, volumes, schedule, policy, next_tag_block(),
-                    cluster_.rendezvous_threshold);
+    emit_allgatherv(progs_, volumes, schedule, policy, next_tag_block());
 }
 
 void ProgramBuilder::add_allreduce(std::uint64_t bytes) {
@@ -380,8 +376,7 @@ void ProgramBuilder::add_dense_discovery(const SparseNeighborhood& out) {
                                                     : GathervSchedule::Dissemination;
     const std::vector<std::uint64_t> count_vol(static_cast<std::size_t>(n),
                                                8ull * static_cast<std::uint64_t>(n));
-    emit_allgatherv(progs_, count_vol, gs, {}, next_tag_block(),
-                    cluster_.rendezvous_threshold);
+    emit_allgatherv(progs_, count_vol, gs, {}, next_tag_block());
     // Payloads: the pattern is now globally known, so no acks and no
     // barrier — receivers post exactly the discovered receives.
     const int tag0 = next_tag_block();

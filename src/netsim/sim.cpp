@@ -76,11 +76,10 @@ SimResult Simulator::run(const std::vector<RankProgram>& programs) const {
                 } else if (op.kind == Op::Kind::Send) {
                     // Sender occupied for overhead + serialization; message
                     // arrives one wire latency after it leaves the NIC.
-                    // Protocol split mirrors the runtime's boundary contract
-                    // exactly: rendezvous iff bytes >= threshold AND the
-                    // message is nonempty — Comm::try_rendezvous rejects
-                    // total == 0, so at threshold 0 a zero-byte send must
-                    // not be charged a handshake here either.
+                    // Protocol split of the modeled MPI stack: rendezvous
+                    // iff bytes >= threshold AND the message is nonempty,
+                    // so at threshold 0 a zero-byte send is still not
+                    // charged a handshake.
                     const bool rdv = op.bytes > 0 && op.bytes >= config_.rendezvous_threshold;
                     double occupied = config_.overhead_us / speed +
                                       static_cast<double>(op.bytes) * config_.us_per_byte;

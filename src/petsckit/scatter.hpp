@@ -127,9 +127,9 @@ public:
 
     /// Transport for the persistent plans (CollConfig::persistent_protocol):
     /// Auto lowers onto one-sided RMA windows when enabled, Rma forces
-    /// them, Eager/Rendezvous force the two-sided schedule graph. Must be
-    /// set identically on every rank, before the first execute (existing
-    /// plans are not rebuilt).
+    /// them, Eager forces the two-sided schedule graph. Must be set
+    /// identically on every rank, before the first execute (existing plans
+    /// are not rebuilt).
     void set_persistent_protocol(rt::Protocol proto) { persistent_protocol_ = proto; }
     rt::Protocol persistent_protocol() const { return persistent_protocol_; }
     /// True when that direction's plan exists and lowered onto RMA windows.

@@ -241,13 +241,9 @@ struct RequestState {
     int owner_rank = -1;
     std::uint64_t post_seq = 0;  ///< posted-receive ordering across PRQ shards
 
-    // Filled when a matching envelope arrives. For rendezvous transfers the
-    // envelope is header-only: the sender already moved `direct_bytes` bytes
-    // straight into `buf` before the release-store on `matched`; the
-    // acquire-load in the receiver's completion path publishes everything.
-    std::atomic<bool> matched{false};
-    bool zero_copy = false;
-    std::size_t direct_bytes = 0;
+    // Filled when a matching envelope arrives. Matching runs only on the
+    // owning rank's thread (process_arrivals, irecv), so no atomics.
+    bool matched = false;
     Envelope env;
 
     // Send requests: set by the delivery engine (possibly from another
@@ -295,12 +291,6 @@ private:
 /// One per-source delivery lane of a mailbox.
 struct alignas(kCacheLine) Lane {
     LaneRing ring;
-    /// Envelopes pushed by this lane's source but not yet matched to a
-    /// receive (in the ring, the overflow list, or the receiver's stash).
-    /// A rendezvous sender reading 0 (acquire) knows every earlier message
-    /// of its own is fully matched, so claiming a posted receive cannot
-    /// overtake an older message — the per-pair FIFO proof.
-    std::atomic<std::uint32_t> unconsumed{0};
     /// Nonzero while the overflow list holds envelopes; the producer spills
     /// to overflow whenever this is set (or the ring is full), so every
     /// ring entry is always older than every overflow entry.
@@ -314,8 +304,9 @@ struct alignas(kCacheLine) Lane {
 
 /// One rank's inbox, sharded by source. Matching state splits three ways:
 /// the lanes (producer->consumer envelope transport), the posted-receive
-/// registry (PRQ — shared with rendezvous senders under posted_mu), and the
-/// per-lane stashes (receiver-private unexpected queues). The seq counter
+/// registry (PRQ) and the per-lane stashes (unexpected queues). Senders
+/// only ever touch the lanes; the PRQ and the stashes belong to the
+/// destination rank's thread and take no lock. The seq counter
 /// and sleeper registration implement the notify-only-when-someone-sleeps
 /// discipline: deliverers bump seq after every push and take wait_mu/cv
 /// only when a waiter has registered; waiters spin on seq, then register
@@ -331,13 +322,12 @@ struct Mailbox {
     std::unique_ptr<std::atomic<std::uint64_t>[]> dirty;
     int dirty_words = 0;
 
-    // -- posted-receive registry (PRQ), guarded by posted_mu ------------------
+    // -- posted-receive registry (PRQ), receiver-private --------------------
     // Sharded by source with a wildcard sidecar; post_seq orders entries
     // across shards so matching remains exactly MPI's earliest-posted-first.
-    std::mutex posted_mu;
     std::vector<std::deque<std::shared_ptr<RequestState>>> prq_by_src;
     std::deque<std::shared_ptr<RequestState>> prq_wild;
-    std::uint64_t next_post_seq = 0;  // guarded by posted_mu
+    std::uint64_t next_post_seq = 0;
 
     // -- delivery pulse / sleep-wake ------------------------------------------
     alignas(kCacheLine) std::atomic<std::uint64_t> seq{0};  ///< bumped per delivery
@@ -394,7 +384,7 @@ struct WorldState {
     std::atomic<std::uint64_t> inflight_count{0};
 
     /// Shared immutable request for sends that complete inline (eager
-    /// delivery and successful rendezvous). wait()/test() never write to a
+    /// delivery without a SchedulePolicy). wait()/test() never write to a
     /// request that is already complete, so one instance serves every rank.
     std::shared_ptr<RequestState> done_send;
 
@@ -444,7 +434,6 @@ void deliver_lane(WorldState& world, int dest, Envelope&& env, StatCounters& cou
     const int src = env.source;
     Mailbox& box = *world.boxes[static_cast<std::size_t>(dest)];
     Lane& lane = box.lanes[static_cast<std::size_t>(src)];
-    lane.unconsumed.fetch_add(1, std::memory_order_relaxed);
     if (!force_overflow && lane.overflow_count.load(std::memory_order_acquire) == 0 &&
         lane.ring.push(std::move(env))) {
         ++counters.rt_lane_fast_deliveries;
@@ -463,8 +452,8 @@ void deliver_lane(WorldState& world, int dest, Envelope&& env, StatCounters& cou
 }
 
 /// Finds and removes the earliest-posted receive matching `env`, walking
-/// the source shard and the wildcard sidecar merged by post_seq. Caller
-/// holds posted_mu.
+/// the source shard and the wildcard sidecar merged by post_seq. Runs on
+/// the mailbox owner's thread.
 std::shared_ptr<RequestState> match_prq(Mailbox& box, const Envelope& env) {
     auto& ps = box.prq_by_src[static_cast<std::size_t>(env.source)];
     auto& pw = box.prq_wild;
@@ -620,7 +609,6 @@ bool Comm::process_arrivals() {
     box.drained_seq = pulse_now;
 
     bool any = false;
-    std::unique_lock<std::mutex> prq_lk;  // taken lazily, once per drain
     for (int w = 0; w < box.dirty_words; ++w) {
         std::uint64_t bits =
             box.dirty[static_cast<std::size_t>(w)].exchange(0, std::memory_order_acquire);
@@ -633,22 +621,12 @@ bool Comm::process_arrivals() {
             // producer spills only while a backlog exists), so drain the
             // ring fully first, then the overflow.
             const bool spill = lane.overflow_count.load(std::memory_order_acquire) > 0;
-            if (!prq_lk.owns_lock()) {
-                prq_lk = std::unique_lock<std::mutex>(box.posted_mu);
-                ++counters_.rt_lock_acquisitions;
-            }
-            // Match in arrival order; misses go to the stash. The
-            // unconsumed decrement for a match happens after the commit
-            // (matched release-store) inside the same posted_mu critical
-            // section: a rendezvous sender that observes the decremented
-            // count must acquire posted_mu to touch the registry, which
-            // orders it after this commit — per-pair FIFO holds.
+            // Match in arrival order; misses go to the stash.
             auto sort_one = [&](Envelope&& env) {
                 std::shared_ptr<RequestState> req = detail::match_prq(box, env);
                 if (req) {
                     req->env = std::move(env);
-                    req->matched.store(true, std::memory_order_release);
-                    lane.unconsumed.fetch_sub(1, std::memory_order_release);
+                    req->matched = true;
                 } else {
                     lane.stash.push_back(std::move(env));
                 }
@@ -675,9 +653,9 @@ bool Comm::process_arrivals() {
 /// drain. The receiver-private drained_seq makes repeated calls from a
 /// spin loop nearly free.
 bool Comm::try_complete_recv(RequestState& req) {
-    if (req.matched.load(std::memory_order_acquire)) return true;
+    if (req.matched) return true;
     process_arrivals();
-    return req.matched.load(std::memory_order_acquire);
+    return req.matched;
 }
 
 std::shared_ptr<RequestState> Comm::alloc_request() {
@@ -691,9 +669,7 @@ std::shared_ptr<RequestState> Comm::alloc_request() {
             // Idle: only the cache references it. Scrub and hand it out.
             RequestState& r = *slot;
             r.post_seq = 0;
-            r.matched.store(false, std::memory_order_relaxed);
-            r.zero_copy = false;
-            r.direct_bytes = 0;
+            r.matched = false;
             r.env = Envelope{};
             r.delivered.store(false, std::memory_order_relaxed);
             r.complete = false;
@@ -724,7 +700,7 @@ Request Comm::irecv_ctx(void* buf, std::size_t count, const dt::Datatype& type, 
     process_arrivals();  // bring the unexpected queues up to date
 
     // Unexpected-queue scan: take the earliest matching envelope. The
-    // stashes are receiver-private, so the common posted-receive miss and
+    // stashes and the PRQ are receiver-private, so posting a receive and
     // the probe-then-recv hit are both lock-free.
     const int lo = source == kAnySource ? 0 : source;
     const int hi = source == kAnySource ? box.nranks - 1 : source;
@@ -734,24 +710,18 @@ Request Comm::irecv_ctx(void* buf, std::size_t count, const dt::Datatype& type, 
             if (detail::matches(*req, *it)) {
                 req->env = std::move(*it);
                 lane.stash.erase(it);
-                req->matched.store(true, std::memory_order_relaxed);  // same thread consumes
-                lane.unconsumed.fetch_sub(1, std::memory_order_release);
+                req->matched = true;
                 return Request(std::move(req));
             }
         }
     }
 
-    // No queued message: register in the PRQ so arrival matching and
-    // rendezvous senders can find the receive.
-    {
-        std::lock_guard<std::mutex> lk(box.posted_mu);
-        ++counters_.rt_lock_acquisitions;
-        req->post_seq = box.next_post_seq++;
-        if (source == kAnySource) {
-            box.prq_wild.push_back(req);
-        } else {
-            box.prq_by_src[static_cast<std::size_t>(source)].push_back(req);
-        }
+    // No queued message: register in the PRQ so arrival matching finds it.
+    req->post_seq = box.next_post_seq++;
+    if (source == kAnySource) {
+        box.prq_wild.push_back(req);
+    } else {
+        box.prq_by_src[static_cast<std::size_t>(source)].push_back(req);
     }
     return Request(std::move(req));
 }
@@ -892,154 +862,34 @@ void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, vo
     engine->reset_stats();
 }
 
-/// Order safety: our lane's `unconsumed` count must be zero — every earlier
-/// message of ours is fully matched — before a posted receive may be
-/// claimed. The count is decremented only after a match commit is published
-/// under posted_mu, so once we hold posted_mu the registry reflects all of
-/// our earlier traffic and claiming the earliest matching posted entry is
-/// exactly what arrival matching would have done.
-///
-/// The move runs while posted_mu pins the request: the receiver's wait()
-/// cannot observe a half-written buffer (matched is still false), an
-/// aborting world cannot unwind the receive out from under us, and the
-/// release-store on matched gives the bytes their happens-before edge into
-/// the receiving thread.
-template <typename Move>
-bool Comm::claim_posted(int dest, int tag, int context, std::size_t total, Move&& move) {
-    NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
-    Envelope header;
-    header.source = rank_;
-    header.tag = tag;
-    header.context = context;
-
-    Mailbox& box = *world_->boxes[static_cast<std::size_t>(dest)];
-    detail::Lane& lane = box.lanes[static_cast<std::size_t>(rank_)];
-    if (lane.unconsumed.load(std::memory_order_acquire) != 0) {
-        return false;  // older messages of ours still in flight: keep FIFO, go eager
-    }
-
-    std::unique_lock<std::mutex> lk(box.posted_mu);
-    ++counters_.rt_lock_acquisitions;
-    std::shared_ptr<RequestState> r = detail::match_prq(box, header);
-    if (!r) return false;  // unposted: degrade to buffered eager
-    NNCOMM_CHECK_MSG(total <= r->type.size() * r->count, "message longer than receive buffer");
-
-    move(*r);
-
-    r->env = std::move(header);  // header only: carries source/tag for RecvStatus
-    r->direct_bytes = total;
-    r->zero_copy = true;
-    r->matched.store(true, std::memory_order_release);
-    lk.unlock();
-    detail::pulse(box, counters_, /*notify=*/true);
-    ++counters_.rt_zero_copy_msgs;
-    counters_.rt_bytes_copied += total;  // the single pass
-    return true;
-}
-
-/// Attempts the zero-copy rendezvous transfer: if the matching receive is
-/// already posted at the destination, the payload moves straight into the
-/// receiver's buffer in one rt::transfer pass and no envelope buffer is
-/// ever allocated. Returns false — caller falls back to buffered eager —
-/// when the receive is not posted, the message is empty or below an Auto
-/// threshold, the hint forces Eager, or a SchedulePolicy is active
-/// (deferred envelopes must all route through the delivery queues to keep
-/// per-pair FIFO intact).
-bool Comm::try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                          int tag, int context, Protocol proto, std::size_t total) {
-    if (proto == Protocol::Eager || world_->policy.enabled) return false;
-    if (proto == Protocol::Rma) proto = Protocol::Auto;  // no window here: resolve like Auto
-    NNCOMM_CHECK(type.valid());
-    // Boundary contract (mirrored by coll/persistent.cpp, coll/schedule.cpp
-    // phase_protocol and netsim/sim.cpp): rendezvous iff total > 0 AND
-    // total >= threshold. `total < threshold_` below is the exact
-    // complement of the >= convention — a message of exactly threshold
-    // bytes attempts rendezvous; a zero-byte message never does, even at
-    // threshold 0.
-    if (total == 0) return false;
-    if (proto == Protocol::Auto) {
-        if (total < rendezvous_threshold_) {
-            ++counters_.rt_proto_eager_chosen;
-            return false;
-        }
-        ++counters_.rt_proto_rdzv_chosen;
-    }
-    return claim_posted(dest, tag, context, total, [&](RequestState& r) {
-        transfer(buf, count, type, r.buf, r.count, r.type, total,
-                 {engine_kind_, engine_config_, counters_, timers_});
-    });
-}
-
-/// Chunk-pipelined rendezvous for producer-driven staged sends: the fused
-/// Pack+Send path of coll::CollRequest. The claim is try_rendezvous's
-/// (claim_posted); the difference is the move — instead of packing the
-/// whole payload into a staging buffer and then copying it cold, the
-/// producer fills one pipeline_chunk-sized slice at the front of `stage`
-/// and transfer's landing step writes the slice into the receiver's buffer
-/// while its bytes are still cache-hot, so the pack of chunk k+1 overlaps
-/// the copy of chunk k through the cache hierarchy.
-bool Comm::try_rendezvous_staged_i(
-    int dest, int tag, std::size_t total, std::span<std::byte> stage,
-    const std::function<void(std::uint64_t, std::span<std::byte>)>& produce) {
-    if (world_->policy.enabled) return false;  // all policy traffic routes buffered
-    if (total == 0) return false;
-    NNCOMM_CHECK_MSG(!stage.empty(), "pipelined rendezvous needs a staging window");
-    const std::size_t chunk = engine_config_.pipeline_chunk > 0
-                                  ? std::min(engine_config_.pipeline_chunk, stage.size())
-                                  : stage.size();
-    std::uint64_t chunks = 0;
-    const bool claimed = claim_posted(
-        dest, tag, context_ + detail::kInternalContextOffset, total, [&](RequestState& r) {
-            PhaseScope scope(timers_, Phase::Comm);  // the whole pack+copy loop
-            Landing land(r.buf, r.count, r.type, use_plans(engine_kind_, engine_config_),
-                         counters_);
-            for (std::size_t pos = 0; pos < total; pos += chunk) {
-                const std::span<std::byte> slice = stage.first(std::min(chunk, total - pos));
-                produce(static_cast<std::uint64_t>(pos), slice);
-                land(slice.data(), slice.size());
-                ++chunks;
-            }
-        });
-    if (!claimed) return false;
-    ++counters_.rt_rdzv_pipelined_msgs;
-    counters_.rt_rdzv_pipelined_chunks += chunks;
-    return true;
-}
-
 std::size_t Comm::progress() {
     if (!world_->policy.enabled) return 0;
     return detail::progress_world(*world_, rank_, counters_);
 }
 
 void Comm::send_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                    int tag, int context, Protocol proto) {
+                    int tag, int context) {
     if (!world_->policy.enabled) {
-        // Zero-copy rendezvous when the receive is already posted; otherwise
-        // the eager fast path — identical to the unperturbed runtime: pack
-        // and push straight onto the destination lane, no request state.
-        const std::size_t total = type.size() * count;
-        if (try_rendezvous(buf, count, type, dest, tag, context, proto, total)) return;
-        Envelope env = pack_envelope(buf, count, type, tag, context, total);
+        // The eager fast path: pack and push straight onto the destination
+        // lane, no request state.
+        Envelope env = pack_envelope(buf, count, type, tag, context, type.size() * count);
         detail::deliver_lane(*world_, dest, std::move(env), counters_);
         return;
     }
-    Request r = isend_ctx(buf, count, type, dest, tag, context, proto);
+    Request r = isend_ctx(buf, count, type, dest, tag, context);
     wait(r);
 }
 
 Request Comm::isend_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                        int tag, int context, Protocol proto) {
+                        int tag, int context) {
     NNCOMM_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank");
     const SchedulePolicy& pol = world_->policy;
     if (!pol.enabled) {
-        // Transfer completes inline — rendezvous straight into the posted
-        // receive, or buffered-eager delivery onto the destination lane —
-        // so the request is born complete and the shared singleton serves.
-        const std::size_t total = type.size() * count;
-        if (!try_rendezvous(buf, count, type, dest, tag, context, proto, total)) {
-            Envelope env = pack_envelope(buf, count, type, tag, context, total);
-            detail::deliver_lane(*world_, dest, std::move(env), counters_);
-        }
+        // Buffered-eager delivery onto the destination lane completes
+        // inline, so the request is born complete and the shared singleton
+        // serves.
+        Envelope env = pack_envelope(buf, count, type, tag, context, type.size() * count);
+        detail::deliver_lane(*world_, dest, std::move(env), counters_);
         return Request(world_->done_send);
     }
     Envelope env = pack_envelope(buf, count, type, tag, context, type.size() * count);
@@ -1192,7 +1042,7 @@ RecvStatus Comm::wait(Request& request) {
             {
                 std::unique_lock<std::mutex> lk(box.wait_mu);
                 if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                    !req.matched.load(std::memory_order_acquire) &&
+                    !req.matched &&
                     !world_->aborted.load(std::memory_order_acquire)) {
                     ++counters_.rt_cv_waits;
                     box.cv.wait_for(lk, kSleepSlice);
@@ -1215,7 +1065,7 @@ RecvStatus Comm::wait(Request& request) {
                 {
                     std::unique_lock<std::mutex> lk(box.wait_mu);
                     if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                        !req.matched.load(std::memory_order_acquire) &&
+                        !req.matched &&
                         !world_->aborted.load(std::memory_order_acquire)) {
                         ++counters_.rt_cv_waits;
                         box.cv.wait_for(lk, std::chrono::microseconds(100));
@@ -1264,16 +1114,6 @@ void Comm::wait_until(const std::function<bool()>& pred) {
 }
 
 RecvStatus Comm::finish_recv(RequestState& req) {
-    if (req.zero_copy) {
-        // Rendezvous: the sender already moved the payload straight into
-        // req.buf; the envelope is a header. Nothing left to unpack.
-        req.status.source = req.env.source;
-        req.status.tag = req.env.tag;
-        req.status.bytes = req.direct_bytes;
-        req.complete = true;
-        return req.status;
-    }
-
     // Unpack on the owning thread; only this rank's thread touches req now.
     const std::size_t total = req.env.payload.size();
     NNCOMM_CHECK_MSG(total <= req.type.size() * req.count, "message longer than receive buffer");
@@ -1348,8 +1188,8 @@ RecvStatus Comm::sendrecv(const void* sendbuf, std::size_t sendcount,
 }
 
 void Comm::send_i(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                  int tag, Protocol proto) {
-    send_ctx(buf, count, type, dest, tag, context_ + detail::kInternalContextOffset, proto);
+                  int tag) {
+    send_ctx(buf, count, type, dest, tag, context_ + detail::kInternalContextOffset);
 }
 
 RecvStatus Comm::recv_i(void* buf, std::size_t count, const dt::Datatype& type, int source,
@@ -1359,9 +1199,8 @@ RecvStatus Comm::recv_i(void* buf, std::size_t count, const dt::Datatype& type, 
 }
 
 Request Comm::isend_i(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                      int tag, Protocol proto) {
-    return isend_ctx(buf, count, type, dest, tag, context_ + detail::kInternalContextOffset,
-                     proto);
+                      int tag) {
+    return isend_ctx(buf, count, type, dest, tag, context_ + detail::kInternalContextOffset);
 }
 
 Request Comm::irecv_i(void* buf, std::size_t count, const dt::Datatype& type, int source,
@@ -1372,9 +1211,9 @@ Request Comm::irecv_i(void* buf, std::size_t count, const dt::Datatype& type, in
 RecvStatus Comm::sendrecv_i(const void* sendbuf, std::size_t sendcount,
                             const dt::Datatype& sendtype, int dest, int sendtag, void* recvbuf,
                             std::size_t recvcount, const dt::Datatype& recvtype, int source,
-                            int recvtag, Protocol proto) {
+                            int recvtag) {
     Request r = irecv_i(recvbuf, recvcount, recvtype, source, recvtag);
-    send_i(sendbuf, sendcount, sendtype, dest, sendtag, proto);
+    send_i(sendbuf, sendcount, sendtype, dest, sendtag);
     return wait(r);
 }
 
@@ -1482,8 +1321,6 @@ Comm Comm::dup() {
     Comm c(world_, rank_, child);
     c.engine_kind_ = engine_kind_;
     c.engine_config_ = engine_config_;
-    c.rendezvous_threshold_ = rendezvous_threshold_;
-    c.rendezvous_pipeline_ = rendezvous_pipeline_;
     return c;
 }
 
@@ -1538,7 +1375,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
     // Reset abort state and clear any residue from a previous run.
     state_->aborted.store(false);
     for (auto& b : state_->boxes) {
-        std::lock_guard<std::mutex> plk(b->posted_mu);
         std::lock_guard<std::mutex> olk(b->overflow_mu);
         for (int s = 0; s < b->nranks; ++s) {
             detail::Lane& lane = b->lanes[static_cast<std::size_t>(s)];
@@ -1547,7 +1383,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
             }
             lane.overflow.clear();
             lane.stash.clear();
-            lane.unconsumed.store(0);
             lane.overflow_count.store(0);
         }
         for (int w = 0; w < b->dirty_words; ++w) b->dirty[static_cast<std::size_t>(w)].store(0);

@@ -26,41 +26,28 @@
 // fault injection (runtime/schedule.hpp). That is how the test suite makes
 // latent message-matching bugs reachable.
 //
-// The send path runs a two-protocol split mirroring real MPI stacks'
-// eager/rendezvous designs:
-//
-//   rendezvous — a message at or above the communicator's
-//     rendezvous_threshold whose matching receive is already posted is
-//     moved straight into the receiver's buffer in a single pass: one
-//     memcpy for contiguous layouts, a direct plan/engine-driven
-//     gather/scatter for noncontiguous ones. No envelope, no intermediate
-//     payload allocation (rt_zero_copy_msgs counts these).
-//
-//   buffered eager — everything else (small messages, unposted receives,
-//     and every send under an active SchedulePolicy, which must route
-//     through the in-flight queue) stages its payload in an envelope whose
-//     buffer comes from a per-world size-classed pool recycled at receive
-//     completion (rt_pool_hits / rt_pool_misses / rt_payload_allocs).
-//
-// Collectives pass explicit Protocol hints so algorithm knowledge (the
-// large bin of binned alltoallw, the bulk phases of allgatherv) overrides
-// the size heuristic; user point-to-point traffic uses Protocol::Auto.
+// Two-sided traffic has one protocol, buffered eager: every send stages
+// its payload in an envelope whose buffer comes from a per-world
+// size-classed pool recycled at receive completion (rt_pool_hits /
+// rt_pool_misses / rt_payload_allocs), and the receiver copies it out once
+// matched. Zero-byte sends are header-only and never touch the pool. The
+// one-sided path is separate: persistent plans put straight into the
+// target's typed receive layout through rt::Win (runtime/win.hpp), with no
+// envelope at all.
 //
 // Transport: each rank's mailbox is sharded by source into per-(source,
-// dest) lanes. The buffered-eager fastpath pushes envelopes onto a lane's
-// lock-free SPSC ring; ring-full spill and all SchedulePolicy-routed
-// traffic go through a mutex-guarded per-lane overflow list that preserves
-// per-pair FIFO (ring entries are always older than overflow entries).
-// Receivers pull: arrival matching runs on the destination rank's own
-// thread against a posted-receive registry (sharded by source, ordered
-// across shards by post sequence — MPI's earliest-posted-first), and
-// unmatched envelopes land in receiver-private per-source stashes that
-// irecv/probe scan without locks. Rendezvous senders claim posted receives
-// directly under the registry lock, gated on the lane's unconsumed count so
-// a large message can never overtake an earlier small one from the same
-// sender. The delivery engine is sharded per destination with an atomic
-// drain claim instead of a global lock, the payload pool fronts its shared
-// store with per-rank caches (batch refill/flush under a byte budget), and
+// dest) lanes. The eager fastpath pushes envelopes onto a lane's lock-free
+// SPSC ring; ring-full spill and all SchedulePolicy-routed traffic go
+// through a mutex-guarded per-lane overflow list that preserves per-pair
+// FIFO (ring entries are always older than overflow entries). Receivers
+// pull: arrival matching runs on the destination rank's own thread against
+// a posted-receive registry (sharded by source, ordered across shards by
+// post sequence — MPI's earliest-posted-first), and unmatched envelopes
+// land in per-source stashes that irecv/probe scan. Senders never touch
+// the registry or the stashes, so both are receiver-private and lock-free.
+// The delivery engine is sharded per destination with an atomic drain
+// claim instead of a global lock, the payload pool fronts its shared store
+// with per-rank caches (batch refill/flush under a byte budget), and
 // waiters spin briefly on a per-mailbox sequence counter before registering
 // as sleepers — deliverers only touch the condition variable when a sleeper
 // is registered. The rt_lane_* / rt_lock_acquisitions / rt_cv_* /
@@ -83,22 +70,13 @@ namespace nncomm::rt {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// Transfer-protocol selector for one send. Auto applies the size
-/// heuristic (rendezvous at or above the communicator's threshold); Eager
-/// and Rendezvous force the respective path regardless of size. A
-/// rendezvous attempt always degrades to buffered eager when the matching
-/// receive is not posted yet or a SchedulePolicy is active, so a hint can
-/// never deadlock or reorder anything — it only changes which copy path
-/// moves the bytes. Rma marks a transfer lowered onto a one-sided window
-/// (rt::Win) by a persistent plan; on the ad-hoc point-to-point path it
-/// resolves exactly like Auto (there is no window to put into), so the
-/// hint is always safe to pass through generic send paths.
-enum class Protocol { Auto, Eager, Rendezvous, Rma };
+/// Transport selector for persistent plans (coll::CollConfig::
+/// persistent_protocol). Eager keeps a plan on the two-sided buffered
+/// send/recv graph; Rma lowers it onto one-sided rt::Win puts; Auto picks
+/// Rma whenever rt::rma_selection_enabled(). Point-to-point sends are
+/// always buffered eager.
+enum class Protocol { Auto, Eager, Rma };
 
-/// Default rendezvous threshold (bytes): Protocol::Auto sends of at least
-/// this many bytes attempt the zero-copy path. Overridable per communicator
-/// via Comm::set_rendezvous_threshold.
-inline constexpr std::size_t kDefaultRendezvousThreshold = 32 * 1024;
 /// Tags >= kInternalTagBase are reserved for collective implementations.
 inline constexpr int kInternalTagBase = 1 << 24;
 
@@ -158,7 +136,7 @@ private:
 
 /// The engine-vs-plan rule, stated once: compiled plans run only when
 /// the fastpath is on and the engine is not the paper's SingleContext
-/// baseline. rt::transfer and coll::CollRequest::try_fused both ask this.
+/// baseline. rt::transfer asks this.
 inline bool use_plans(dt::EngineKind kind, const dt::EngineConfig& config) {
     return config.enable_plan_fastpath && kind != dt::EngineKind::SingleContext;
 }
@@ -179,13 +157,11 @@ struct TransferCtx {
 /// byte move of the runtime and the collectives goes through it:
 ///   - eager staging: the send buffer into the pool payload (pack_envelope),
 ///   - eager completion: the payload into the posted receive (finish_recv),
-///   - rendezvous: the send buffer into a claimed posted receive,
 ///   - RMA: a put into the target's typed receive layout (Win::put),
 ///   - persistent plans: a Pack op into its staging slot, through the
 ///     op's persistent engine.
-/// The pipelined rendezvous (Comm::try_rendezvous_staged_i) lands its
-/// slices through transfer's landing step. Dense to dense is one memcpy,
-/// left untimed below 4 KiB where the clock would cost more than the copy.
+/// Dense to dense is one memcpy, left untimed below 4 KiB where the clock
+/// would cost more than the copy.
 /// A noncontiguous source gathers through its send plan; a noncontiguous
 /// destination scatters through its receive plan; when both are
 /// noncontiguous, engine chunks land through the receive plan's
@@ -193,7 +169,7 @@ struct TransferCtx {
 /// gathers through its plan only when that plan is specialized (Irregular
 /// sources stream through the engine). An explicit
 /// set_engine(SingleContext), the paper's baseline, therefore runs its
-/// engine and cursor on every protocol.
+/// engine and cursor on every path.
 void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, void* dst,
               std::size_t rcount, const dt::Datatype& rtype, std::size_t total,
               const TransferCtx& ctx);
@@ -210,19 +186,6 @@ public:
     dt::EngineKind engine_kind() const { return engine_kind_; }
     void set_engine_config(const dt::EngineConfig& cfg) { engine_config_ = cfg; }
     const dt::EngineConfig& engine_config() const { return engine_config_; }
-    /// Message size (bytes) at which Protocol::Auto sends attempt the
-    /// zero-copy rendezvous path: rendezvous iff the message is nonempty
-    /// and at least this long. 0 makes every nonempty send attempt it;
-    /// SIZE_MAX disables the protocol for this communicator.
-    void set_rendezvous_threshold(std::size_t bytes) { rendezvous_threshold_ = bytes; }
-    std::size_t rendezvous_threshold() const { return rendezvous_threshold_; }
-
-    /// Chunk-pipelined rendezvous for staged collective sends (on by
-    /// default): packing chunk k+1 overlaps the copy-out of chunk k through
-    /// a small cache-hot window instead of staging the whole payload first.
-    /// coll::CollRequest consults this before fusing a Pack+Send op pair.
-    void set_rendezvous_pipeline(bool on) { rendezvous_pipeline_ = on; }
-    bool rendezvous_pipeline() const { return rendezvous_pipeline_; }
 
     // -- blocking point-to-point ---------------------------------------------
     void send(const void* buf, std::size_t count, const dt::Datatype& type, int dest, int tag);
@@ -279,42 +242,22 @@ public:
     // -- internal-context point-to-point ---------------------------------------
     // Used by collective implementations (src/coll). Identical semantics to
     // the public operations but matched on a shifted context, so collective
-    // traffic can never be stolen by user-posted wildcard receives. The
-    // Protocol parameter is the volume hint collectives thread through:
-    // phases known to move bulk data force Rendezvous, latency-bound small
-    // phases force Eager, and Auto falls back to the size heuristic.
-    void send_i(const void* buf, std::size_t count, const dt::Datatype& type, int dest, int tag,
-                Protocol proto = Protocol::Auto);
+    // traffic can never be stolen by user-posted wildcard receives.
+    void send_i(const void* buf, std::size_t count, const dt::Datatype& type, int dest, int tag);
     RecvStatus recv_i(void* buf, std::size_t count, const dt::Datatype& type, int source,
                       int tag);
     Request isend_i(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                    int tag, Protocol proto = Protocol::Auto);
+                    int tag);
     Request irecv_i(void* buf, std::size_t count, const dt::Datatype& type, int source, int tag);
     RecvStatus sendrecv_i(const void* sendbuf, std::size_t sendcount,
                           const dt::Datatype& sendtype, int dest, int sendtag, void* recvbuf,
                           std::size_t recvcount, const dt::Datatype& recvtype, int source,
-                          int recvtag, Protocol proto = Protocol::Auto);
+                          int recvtag);
     /// Internal-context nonblocking probe: like iprobe, but matching on the
     /// shifted collective context, so it can never observe (or steal) user
     /// point-to-point traffic. The NBX sparse exchange (runtime/sparse.cpp)
     /// drives its consensus loop with this.
     ProbeStatus iprobe_i(int source, int tag);
-
-    /// Chunk-pipelined internal-context rendezvous for producer-driven
-    /// staged sends (coll::CollRequest's fused Pack+Send path). If the
-    /// matching receive is already posted, streams the payload in
-    /// engine_config().pipeline_chunk slices: each slice is produced into
-    /// the front of `stage` (produce(pos, slice) must fill slice with
-    /// payload bytes [pos, pos + slice.size())) and immediately copied or
-    /// scattered into the receiver's buffer while the source bytes are
-    /// still cache-hot — pack of chunk k+1 overlaps the copy of chunk k
-    /// instead of a serial whole-message pack-then-copy. Returns false
-    /// (caller falls back to pack-into-staging + isend_i) when the receive
-    /// is unposted, a SchedulePolicy is active, total == 0, or FIFO order
-    /// would be violated — exactly try_rendezvous's degradation rules.
-    bool try_rendezvous_staged_i(
-        int dest, int tag, std::size_t total, std::span<std::byte> stage,
-        const std::function<void(std::uint64_t, std::span<std::byte>)>& produce);
 
     // -- convenience typed sends (contiguous arrays) --------------------------
     template <typename T>
@@ -359,20 +302,11 @@ private:
     Request irecv_ctx(void* buf, std::size_t count, const dt::Datatype& type, int source,
                       int tag, int context);
     void send_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                  int tag, int context, Protocol proto = Protocol::Auto);
+                  int tag, int context);
     Request isend_ctx(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                      int tag, int context, Protocol proto = Protocol::Auto);
+                      int tag, int context);
     detail::Envelope pack_envelope(const void* buf, std::size_t count, const dt::Datatype& type,
                                    int tag, int context, std::size_t total);
-    bool try_rendezvous(const void* buf, std::size_t count, const dt::Datatype& type, int dest,
-                        int tag, int context, Protocol proto, std::size_t total);
-    /// The claim/complete half both rendezvous paths share: claims the
-    /// posted receive at `dest` matching (this rank, tag, context) under
-    /// the FIFO lane guard, runs `move(request)` while posted_mu pins it,
-    /// then publishes the match and wakes the receiver. False when the
-    /// receive is not posted or older messages of ours are unmatched.
-    template <typename Move>
-    bool claim_posted(int dest, int tag, int context, std::size_t total, Move&& move);
     /// Returns a fresh receive request, recycling an idle RequestState from
     /// this communicator's cache when one is free (use_count == 1 means
     /// only the cache still references it).
@@ -385,8 +319,7 @@ private:
     /// pulse-gated process_arrivals(). Cheap enough to sit in a spin loop.
     bool try_complete_recv(detail::RequestState& req);
     /// Receive-side completion: unpacks a matched request's payload into the
-    /// user buffer (or just fills the status for zero-copy rendezvous
-    /// arrivals) and recycles the envelope. Shared by wait() and test().
+    /// user buffer and recycles the envelope. Shared by wait() and test().
     RecvStatus finish_recv(detail::RequestState& req);
     /// Drains deliverable in-flight envelopes (no-op when the schedule
     /// policy is off). Returns the number of envelopes delivered.
@@ -397,8 +330,6 @@ private:
     int context_ = 0;
     int dup_count_ = 0;  ///< children created from this communicator
     int collective_epoch_ = 0;
-    std::size_t rendezvous_threshold_ = kDefaultRendezvousThreshold;
-    bool rendezvous_pipeline_ = true;   ///< fuse staged Pack+Send op pairs
     dt::EngineKind engine_kind_ = dt::EngineKind::DualContext;
     dt::EngineConfig engine_config_{};
     PhaseTimers timers_;

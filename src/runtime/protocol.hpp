@@ -6,10 +6,6 @@
 // choice is a pure function of the build, the environment and the plan's
 // config, never of the traffic matrix or of measured timings, so every
 // rank makes it identically.
-//
-// Eager vs rendezvous needs no state here: Protocol::Auto resolves as
-// `total > 0 && total >= comm.rendezvous_threshold()` on every layer
-// (Comm::try_rendezvous, AlltoallwPlan, netsim).
 #pragma once
 
 #include <cstdlib>

@@ -37,7 +37,7 @@ void IBarrier::fire_round() {
     // Post the receive before the send so a fast partner's token always
     // finds it; the zero-byte send is buffered eager and never blocks.
     recv_ = comm_->irecv_i(nullptr, 0, dt::Datatype::byte(), from, tag);
-    comm_->send_i(nullptr, 0, dt::Datatype::byte(), to, tag, Protocol::Eager);
+    comm_->send_i(nullptr, 0, dt::Datatype::byte(), to, tag);
 }
 
 bool IBarrier::test() {
@@ -90,9 +90,8 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
     StatCounters local;
     std::vector<SparseRecv> out;
 
-    // Validate destinations and fire the remote payload sends. Eager is
-    // forced: rendezvous needs a posted receive, and the whole point of
-    // the exchange is that receivers do not yet know their sources.
+    // Validate destinations and fire the remote payload sends. They are
+    // buffered eager, so they complete before receivers know their sources.
     std::vector<Request> sreqs;
     std::vector<char> seen(static_cast<std::size_t>(n), 0);
     std::size_t acks_needed = 0;
@@ -109,9 +108,7 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
             out.push_back(std::move(r));
             continue;
         }
-        sreqs.push_back(
-            comm.isend_i(s.bytes.data(), s.bytes.size(), byte, s.dest, payload_tag,
-                         Protocol::Eager));
+        sreqs.push_back(comm.isend_i(s.bytes.data(), s.bytes.size(), byte, s.dest, payload_tag));
         ++acks_needed;
         ++local.rt_sparse_msgs_sent;
     }
@@ -136,7 +133,7 @@ std::vector<SparseRecv> sparse_exchange(Comm& comm, std::span<const SparseSend> 
             comm.recv_i(r.bytes.empty() ? nullptr : r.bytes.data(), st.bytes, byte, st.source,
                         payload_tag);
             out.push_back(std::move(r));
-            comm.send_i(nullptr, 0, byte, st.source, ack_tag, Protocol::Eager);
+            comm.send_i(nullptr, 0, byte, st.source, ack_tag);
             ++local.rt_sparse_msgs_recvd;
             progressed = true;
         }

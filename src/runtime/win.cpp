@@ -81,12 +81,12 @@ Win Win::create(Comm& comm, void* base, std::size_t bytes) {
         for (int r = 1; r < n; ++r) {
             auto* clone = new std::shared_ptr<detail::WinShared>(shared);
             const std::uint64_t addr = reinterpret_cast<std::uint64_t>(clone);
-            comm.send_i(&addr, sizeof addr, byte, r, tag, Protocol::Eager);
+            comm.send_i(&addr, sizeof addr, byte, r, tag);
         }
     } else {
         detail::RegionMsg msg{reinterpret_cast<std::uint64_t>(base),
                               static_cast<std::uint64_t>(bytes)};
-        comm.send_i(&msg, sizeof msg, byte, 0, tag, Protocol::Eager);
+        comm.send_i(&msg, sizeof msg, byte, 0, tag);
         std::uint64_t addr = 0;
         comm.recv_i(&addr, sizeof addr, byte, 0, tag);
         auto* clone = reinterpret_cast<std::shared_ptr<detail::WinShared>*>(addr);

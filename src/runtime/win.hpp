@@ -2,7 +2,7 @@
 //
 // A Win exposes every rank's local buffer for direct remote access: a put
 // writes straight into the target's memory, a get reads straight out of it,
-// and no envelope, matching, or clear-to-send traffic ever moves. On this
+// and no envelope or matching traffic ever moves. On this
 // shared-address-space runtime the data transfer itself is a single memcpy
 // (or, for a typed put, one rt::transfer pass from the origin's layout
 // straight into the target's typed layout); what the window machinery

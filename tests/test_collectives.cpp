@@ -55,10 +55,14 @@ TEST(Reduce, MaxAndMin) {
     w.run([&](Comm& c) {
         double mx = static_cast<double>(c.rank());
         coll::reduce(c, &mx, 1, ReduceOp::Max, 0);
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(mx, n - 1.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(mx, n - 1.0);
+        }
         double mn = static_cast<double>(c.rank()) + 5.0;
         coll::reduce(c, &mn, 1, ReduceOp::Min, 0);
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(mn, 5.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(mn, 5.0);
+        }
     });
 }
 

@@ -7,7 +7,8 @@
 // same insertions themselves in ascending-origin order. That must hold
 // with insert-vs-add collisions on the same remote coordinate, under
 // seeded SchedulePolicy perturbation (arrival order must never leak into
-// the result), and at both rendezvous-threshold extremes.
+// the result), and at both payload-pool budget extremes (no shared store,
+// unbounded).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,7 +32,7 @@ using rt::SchedulePolicy;
 using rt::World;
 
 constexpr std::uint64_t kSeeds[] = {1, 7, 23, 42, 101, 271, 1009, 65537};
-constexpr std::size_t kThresholds[] = {0, std::numeric_limits<std::size_t>::max()};
+constexpr std::size_t kPoolBudgets[] = {0, std::numeric_limits<std::size_t>::max()};
 
 std::uint64_t mix(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
@@ -76,13 +77,13 @@ std::vector<Contribution> contributions_of(std::uint64_t seed, int origin, Index
 
 // Assembles the same logical matrix two ways and requires bit-identity.
 void check_offproc_assembly(int nranks, std::uint64_t seed, SchedulePolicy policy,
-                            std::size_t threshold, ScatterBackend backend) {
+                            std::size_t pool_budget, ScatterBackend backend) {
     const Index n = 24;
     const int entries = 40;
     World w(nranks);
     w.set_schedule(policy);
+    w.set_payload_pool_budget(pool_budget);
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold);
         auto layout = std::make_shared<const Layout>(Layout::uniform(n, c.size()));
 
         // Off-process path: every origin inserts its own list, wherever
@@ -171,7 +172,9 @@ TEST(MatOffproc, RemoteAddsAccumulateAcrossOrigins) {
         Vec x(c, 8), y(c, 8);
         x.set_all(1.0);
         m.mult(x, y);
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(y.at_global(0), 4.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(y.at_global(0), 4.0);
+        }
     });
 }
 
@@ -190,7 +193,9 @@ TEST(MatOffproc, InsertFromOneOriginBeatsAddsFromEarlierOrigins) {
         m.mult(x, y);
         // origins 0,1 add 1+1 -> overwritten by origin 2's 100 -> origin 3
         // adds 1: 101.
-        if (c.rank() == 0) EXPECT_DOUBLE_EQ(y.at_global(0), 101.0);
+        if (c.rank() == 0) {
+            EXPECT_DOUBLE_EQ(y.at_global(0), 101.0);
+        }
     });
 }
 
@@ -215,17 +220,17 @@ class MatOffprocStress
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatOffprocStress,
                          ::testing::Combine(::testing::ValuesIn(kSeeds),
-                                            ::testing::ValuesIn(kThresholds)));
+                                            ::testing::ValuesIn(kPoolBudgets)));
 
 TEST_P(MatOffprocStress, BitIdenticalUnderPerturbation) {
-    const auto [seed, threshold] = GetParam();
-    check_offproc_assembly(4, seed, SchedulePolicy::perturb(seed, 3), threshold,
+    const auto [seed, pool_budget] = GetParam();
+    check_offproc_assembly(4, seed, SchedulePolicy::perturb(seed, 3), pool_budget,
                            ScatterBackend::HandTuned);
 }
 
 TEST_P(MatOffprocStress, BitIdenticalUnperturbedWiderWorld) {
-    const auto [seed, threshold] = GetParam();
-    check_offproc_assembly(6, seed ^ 0xbeef, SchedulePolicy{}, threshold,
+    const auto [seed, pool_budget] = GetParam();
+    check_offproc_assembly(6, seed ^ 0xbeef, SchedulePolicy{}, pool_budget,
                            ScatterBackend::DatatypeOptimized);
 }
 

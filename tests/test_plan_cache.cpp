@@ -270,7 +270,7 @@ TEST(PersistentScatter, StridedSteadyStateBuildsNoEnginesOrScratch) {
         // This test pins the two-sided plan's staging mechanics (plan-time
         // scratch, engine-free strided kernels); the RMA lowering packs
         // straight into the peer window and allocates no scratch at all.
-        sc.set_persistent_protocol(rt::Protocol::Rendezvous);
+        sc.set_persistent_protocol(rt::Protocol::Eager);
 
         comm.reset_stats();
         sc.execute(src, dst, ScatterBackend::DatatypeOptimized);

@@ -2,8 +2,7 @@
 // put-based persistent plans built on top (runtime/win.cpp +
 // coll/persistent.cpp RMA branch).
 //
-// Correctness strategy mirrors the rendezvous suite: every one-sided
-// exchange is checked bit-for-bit against either an analytic expectation
+// Correctness strategy: every one-sided exchange is checked bit-for-bit against either an analytic expectation
 // or the identical exchange run through the two-sided path, and the rt_rma
 // counters attest the traffic actually rode the window (puts + fences,
 // zero deliveries, zero matching). The plan tests sweep the full
@@ -346,9 +345,9 @@ TEST(RmaPlan, ForcedSelectionAndConfigFallback) {
             ASSERT_EQ(dst[i], static_cast<std::uint8_t>(peer + 1));
         }
 
-        // Eager/Rendezvous force two-sided regardless of the gate.
+        // Eager forces two-sided regardless of the gate.
         coll::AlltoallwPlan two(c, counts, displs, types, counts, displs, types,
-                                proto_cfg(rt::Protocol::Rendezvous));
+                                proto_cfg(rt::Protocol::Eager));
         EXPECT_FALSE(two.rma());
         c.barrier();
     });
@@ -434,10 +433,9 @@ TEST(RmaPlan, SteadyStateMovesZeroTwoSidedMessages) {
         plan.execute(src.data(), dst.data());
         const StatCounters cnt = c.counters();
         // The absence is the point: an execute is puts and fences only —
-        // no lane deliveries, no zero-copy matches, no envelopes.
+        // no lane deliveries, no envelopes.
         EXPECT_EQ(cnt.rt_lane_fast_deliveries, 0u);
         EXPECT_EQ(cnt.rt_lane_overflow_deliveries, 0u);
-        EXPECT_EQ(cnt.rt_zero_copy_msgs, 0u);
         EXPECT_EQ(cnt.rt_rma_puts, 1u);
         EXPECT_EQ(cnt.rt_rma_put_bytes, 2048u);
         EXPECT_EQ(cnt.rt_rma_fences, 2u);
@@ -480,15 +478,15 @@ TEST(RmaPlan, FrozenAutoSelectionStableAcrossReruns) {
     EXPECT_EQ(first, second);
 }
 
-// Full perturbation matrix: 8 seeds x thresholds {0, 32 KiB, never} over a
-// mixed strided/contiguous/self/zero-edge pattern, RMA plan checked
-// bit-identically against a two-sided twin on every execute. The receive
+// Full perturbation matrix: 8 seeds x binning thresholds {0, 32 KiB, never}
+// over a mixed strided/contiguous/self/zero-edge pattern, RMA plan checked
+// bit-identically against a two-sided eager twin on every execute. The receive
 // side is noncontiguous too — a Strided layout for the left source, an
 // Irregular hindexed one for the opposite source — and the executes
 // alternate between two receive buffers, so a put must follow the target's
 // typed layout into whichever buffer the target's current execute named.
-// The rendezvous threshold steers the twin; the same value fed to
-// small_msg_threshold steers the put binning.
+// The threshold is fed to small_msg_threshold of both plans, so it steers
+// the put binning and the twin's send binning alike.
 TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
     constexpr int kRanks = 4;
     constexpr std::size_t kStride = 64;   // doubles picked by the strided type
@@ -515,7 +513,6 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
             World w(kRanks);
             w.set_schedule(SchedulePolicy::perturb(seed, 1 + static_cast<int>(seed % 3)));
             w.run([&](Comm& c) {
-                c.set_rendezvous_threshold(thr);
                 const int r = c.rank();
                 const auto n = static_cast<std::size_t>(c.size());
                 const auto right = static_cast<std::size_t>((r + 1) % kRanks);
@@ -550,7 +547,7 @@ TEST(RmaPlan, StressMatrixBitIdenticalUnderPerturbation) {
 
                 coll::CollConfig rma_cfg = proto_cfg(rt::Protocol::Rma);
                 rma_cfg.small_msg_threshold = thr;
-                coll::CollConfig two_cfg = proto_cfg(rt::Protocol::Rendezvous);
+                coll::CollConfig two_cfg = proto_cfg(rt::Protocol::Eager);
                 two_cfg.small_msg_threshold = thr == 0 ? 1 : thr;
                 coll::AlltoallwPlan rma_plan(c, scounts, sdispls, stypes, rcounts, rdispls,
                                              rtypes, rma_cfg);

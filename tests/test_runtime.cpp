@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -20,6 +21,7 @@ using nncomm::rt::kAnyTag;
 using nncomm::rt::RecvStatus;
 using nncomm::rt::Request;
 using nncomm::rt::World;
+using nncomm::StatCounters;
 
 TEST(Runtime, SingleRankWorld) {
     World w(1);
@@ -486,6 +488,295 @@ TEST(Runtime, RootCauseErrorWinsOverSecondaryAborts) {
     }
     EXPECT_TRUE(caught);
     EXPECT_EQ(w.faulting_rank(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// The buffered-eager transport: posted-receive registry, payload pool and
+// the counters that make both observable.
+
+constexpr int kDataTag = 7;
+constexpr int kTokenTag = 8;
+
+struct ExchangeStats {
+    std::atomic<std::uint64_t> bytes_copied{0};
+    std::atomic<std::uint64_t> payload_allocs{0};
+    std::atomic<std::uint64_t> pool_hits{0};
+    std::atomic<std::uint64_t> pool_misses{0};
+
+    void add(const StatCounters& c) {
+        bytes_copied += c.rt_bytes_copied;
+        payload_allocs += c.rt_payload_allocs;
+        pool_hits += c.rt_pool_hits;
+        pool_misses += c.rt_pool_misses;
+    }
+};
+
+// Posting a receive and matching an arrival against it run only on the
+// receiving rank's thread, so neither takes a lock. No SchedulePolicy;
+// the messages are zero-byte (no payload pool) and fewer than the lane
+// ring's 8 slots (no overflow spill), so the receiver's lock count must
+// not move at all.
+TEST(Runtime, PostedReceivesTakeNoLocks) {
+    constexpr int kMsgs = 6;
+    std::atomic<std::uint64_t> receiver_locks{~std::uint64_t{0}};
+    World w(2);
+    w.run([&](Comm& c) {
+        if (c.rank() == 1) {
+            const std::uint64_t before = c.counters().rt_lock_acquisitions;
+            std::vector<Request> reqs;
+            for (int i = 0; i < kMsgs; ++i) {
+                reqs.push_back(c.irecv(nullptr, 0, Datatype::byte(), 0, i));
+            }
+            c.send(nullptr, 0, Datatype::byte(), 0, kTokenTag);  // receives are posted
+            c.waitall(reqs);
+            receiver_locks = c.counters().rt_lock_acquisitions - before;
+        } else {
+            c.recv(nullptr, 0, Datatype::byte(), 1, kTokenTag);
+            for (int i = 0; i < kMsgs; ++i) c.send(nullptr, 0, Datatype::byte(), 1, i);
+        }
+    });
+    EXPECT_EQ(receiver_locks.load(), 0u);
+}
+
+TEST(Runtime, ZeroByteMessagesTouchNothing) {
+    ExchangeStats s;
+    World w(2);
+    w.run([&](Comm& c) {
+        if (c.rank() == 1) {
+            Request r = c.irecv(nullptr, 0, Datatype::byte(), 0, kDataTag);
+            RecvStatus st = c.wait(r);
+            EXPECT_EQ(st.bytes, 0u);
+            EXPECT_EQ(st.source, 0);
+        } else {
+            c.send(nullptr, 0, Datatype::byte(), 1, kDataTag);
+        }
+        s.add(c.counters());
+    });
+    // Empty sends are pure synchronization: no allocation, no pool
+    // traffic, no copies.
+    EXPECT_EQ(s.payload_allocs.load(), 0u);
+    EXPECT_EQ(s.pool_hits.load() + s.pool_misses.load(), 0u);
+    EXPECT_EQ(s.bytes_copied.load(), 0u);
+}
+
+TEST(Runtime, PayloadPoolRecyclesInSteadyState) {
+    constexpr std::size_t kBytes = 4096;
+    constexpr int kRounds = 32;
+    ExchangeStats s;
+    World w(2);
+    w.run([&](Comm& c) {
+        std::vector<std::uint8_t> buf(kBytes, static_cast<std::uint8_t>(c.rank()));
+        const int peer = 1 - c.rank();
+        for (int round = 0; round < kRounds; ++round) {
+            // Blocking ping-pong: each payload buffer is released back to
+            // the pool before the next send of the same size class fires.
+            if (c.rank() == 0) {
+                c.send(buf.data(), kBytes, Datatype::byte(), peer, kDataTag);
+                c.recv(buf.data(), kBytes, Datatype::byte(), peer, kDataTag);
+            } else {
+                c.recv(buf.data(), kBytes, Datatype::byte(), peer, kDataTag);
+                c.send(buf.data(), kBytes, Datatype::byte(), peer, kDataTag);
+            }
+        }
+        s.add(c.counters());
+    });
+    const std::uint64_t acquires = s.pool_hits.load() + s.pool_misses.load();
+    EXPECT_EQ(acquires, static_cast<std::uint64_t>(2 * kRounds));
+    // Every payload is staged once and unpacked once.
+    EXPECT_EQ(s.bytes_copied.load(), static_cast<std::uint64_t>(2 * 2 * kRounds) * kBytes);
+    // Steady state: the same one or two buffers cycle between the ranks.
+    EXPECT_LE(s.payload_allocs.load(), 2u);
+    EXPECT_GE(s.pool_hits.load(), static_cast<std::uint64_t>(2 * kRounds - 2));
+}
+
+// Regression for the pool byte budget. The per-class cap bounds buffer
+// COUNT only, so before the budget existed a burst of large eager messages
+// could pin count-cap x 8 MiB in the shared store forever. The budget must
+// bound the store's resident bytes at every point (trimming largest
+// classes first on insert), the rt_pool_resident_bytes counter must record
+// the high water, and shrinking the budget must trim immediately.
+TEST(PayloadPoolBudget, SharedStoreHonorsByteBudget) {
+    constexpr std::size_t kBudget = 1 << 20;  // 1 MiB
+    constexpr std::size_t kMsg = 256 * 1024;  // one 256 KiB size class
+    constexpr int kMsgs = 24;  // enough releases to flush the receiver shelf repeatedly
+    std::atomic<std::uint64_t> high_water{0};
+    World w(2);
+    w.set_payload_pool_budget(kBudget);
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            std::vector<std::uint8_t> out(kMsg, 0x3D);
+            for (int i = 0; i < kMsgs; ++i) {
+                c.send(out.data(), kMsg, Datatype::byte(), 1, kDataTag);
+            }
+        } else {
+            // Drain after the fact: each finish_recv releases a 256 KiB
+            // buffer onto this rank's shelf, whose overflow flushes batches
+            // into the budgeted shared store.
+            std::vector<std::uint8_t> in(kMsg, 0);
+            for (int i = 0; i < kMsgs; ++i) {
+                c.recv(in.data(), kMsg, Datatype::byte(), 0, kDataTag);
+                EXPECT_EQ(in[0], 0x3D);
+                EXPECT_EQ(in[kMsg - 1], 0x3D);
+            }
+        }
+        c.barrier();
+        std::uint64_t hw = c.counters().rt_pool_resident_bytes;
+        std::uint64_t cur = high_water.load();
+        while (hw > cur && !high_water.compare_exchange_weak(cur, hw)) {
+        }
+    });
+    EXPECT_LE(w.payload_pool_resident_bytes(), kBudget);
+    EXPECT_GT(high_water.load(), 0u) << "flushes never reached the shared store";
+    EXPECT_LE(high_water.load(), kBudget) << "budget was exceeded at some point";
+    w.set_payload_pool_budget(0);  // shrink: must trim the store right away
+    EXPECT_EQ(w.payload_pool_resident_bytes(), 0u);
+}
+
+// A message longer than a receive that was posted before it arrived fails
+// at the receiver, exactly like one that waited in the unexpected queue.
+TEST(Runtime, OversizedMessageIntoPostedReceiveThrows) {
+    World w(2);
+    EXPECT_THROW(w.run([&](Comm& c) {
+                     if (c.rank() == 1) {
+                         std::vector<std::uint8_t> in(1024, 0);
+                         Request r = c.irecv(in.data(), in.size(), Datatype::byte(), 0, kDataTag);
+                         int token = 1;
+                         c.send_n(&token, 1, 0, kTokenTag);
+                         c.wait(r);
+                     } else {
+                         std::vector<std::uint8_t> out(2048, 9);
+                         int token = 0;
+                         c.recv_n(&token, 1, 1, kTokenTag);
+                         c.send(out.data(), out.size(), Datatype::byte(), 1, kDataTag);
+                     }
+                 }),
+                 nncomm::Error);
+}
+
+// A blocking send of a large message to a rank that has posted nothing
+// returns without waiting for the receiver: the payload is buffered.
+TEST(Runtime, BlockingSendNeverWaitsForTheReceiver) {
+    constexpr std::size_t kBytes = 256 * 1024;
+    World w(2);
+    w.run([&](Comm& c) {
+        if (c.rank() == 0) {
+            std::vector<std::uint8_t> out(kBytes, 0xAB);
+            // The receiver posts nothing until after this send returns.
+            c.send(out.data(), kBytes, Datatype::byte(), 1, kDataTag);
+            int token = 1;
+            c.send_n(&token, 1, 1, kTokenTag);
+        } else {
+            int token = 0;
+            c.recv_n(&token, 1, 0, kTokenTag);
+            std::vector<std::uint8_t> in(kBytes, 0);
+            c.recv(in.data(), kBytes, Datatype::byte(), 0, kDataTag);
+            EXPECT_EQ(in[0], 0xAB);
+            EXPECT_EQ(in[kBytes - 1], 0xAB);
+        }
+    });
+}
+
+// isend returns an already-complete request: the payload is staged before
+// isend returns, so reusing the send buffer cannot change what arrives.
+TEST(Runtime, IsendBufferReusableOnReturn) {
+    constexpr std::size_t kBytes = 64 * 1024;
+    World w(2);
+    w.run([&](Comm& c) {
+        if (c.rank() == 1) {
+            std::vector<std::uint8_t> in(kBytes, 0);
+            Request r = c.irecv(in.data(), kBytes, Datatype::byte(), 0, kDataTag);
+            int token = 1;
+            c.send_n(&token, 1, 0, kTokenTag);
+            c.wait(r);
+            EXPECT_EQ(in[0], 0x5C);
+            EXPECT_EQ(in[kBytes - 1], 0x5C);
+        } else {
+            std::vector<std::uint8_t> out(kBytes, 0x5C);
+            int token = 0;
+            c.recv_n(&token, 1, 1, kTokenTag);
+            Request r = c.isend(out.data(), kBytes, Datatype::byte(), 1, kDataTag);
+            out.assign(kBytes, 0x00);
+            c.wait(r);
+        }
+    });
+}
+
+TEST(Runtime, WildcardReceiveStatusFilledCorrectly) {
+    constexpr std::size_t kBytes = 48 * 1024;
+    World w(2);
+    w.run([&](Comm& c) {
+        if (c.rank() == 1) {
+            std::vector<std::uint8_t> in(kBytes, 0);
+            Request r = c.irecv(in.data(), kBytes, Datatype::byte(), kAnySource, kAnyTag);
+            int token = 1;
+            c.send_n(&token, 1, 0, kTokenTag);
+            // The token travels TO rank 0, so the payload is the only
+            // message rank 1 ever receives: the wildcard can only match it.
+            RecvStatus st = c.wait(r);
+            EXPECT_EQ(st.source, 0);
+            EXPECT_EQ(st.tag, kDataTag);
+            EXPECT_EQ(st.bytes, kBytes);
+            EXPECT_EQ(in[kBytes - 1], static_cast<std::uint8_t>((kBytes - 1) % 251));
+        } else {
+            std::vector<std::uint8_t> out(kBytes);
+            for (std::size_t i = 0; i < kBytes; ++i) {
+                out[i] = static_cast<std::uint8_t>(i % 251);
+            }
+            int token = 0;
+            c.recv_n(&token, 1, 1, kTokenTag);
+            c.send(out.data(), kBytes, Datatype::byte(), 1, kDataTag);
+        }
+    });
+}
+
+// The engine-vs-plan rule holds on the eager path: a SingleContext
+// strided->strided message runs the engine on the sender and never a
+// receive plan; the DualContext twin runs plans. The bytes land
+// identically either way.
+TEST(Runtime, EagerTransferObeysTheEngineRule) {
+    constexpr std::size_t kN = 4096;
+    const Datatype strided = Datatype::vector(kN, 1, 2, Datatype::float64());
+
+    struct Run {
+        StatCounters sender, receiver;
+        std::vector<double> landed;
+    };
+    auto run = [&](nncomm::dt::EngineKind kind) {
+        Run out;
+        World w(2);
+        w.run([&](Comm& c) {
+            c.set_engine(kind);
+            if (c.rank() == 1) {
+                std::vector<double> in(2 * kN - 1, -1.0);
+                c.recv(in.data(), 1, strided, 0, kDataTag);
+                out.receiver = c.counters();
+                out.landed = std::move(in);
+            } else {
+                std::vector<double> src(2 * kN - 1, -7.0);
+                for (std::size_t i = 0; i < kN; ++i) src[2 * i] = static_cast<double>(i) * 0.25;
+                c.send(src.data(), 1, strided, 1, kDataTag);
+                out.sender = c.counters();
+            }
+        });
+        return out;
+    };
+
+    const Run base = run(nncomm::dt::EngineKind::SingleContext);
+    const Run dual = run(nncomm::dt::EngineKind::DualContext);
+    EXPECT_EQ(base.receiver.plan_hits, 0u);
+    EXPECT_GT(base.sender.engine_builds, 0u);
+    EXPECT_GT(dual.receiver.plan_hits, 0u);  // the eager scatter ran the receive plan
+
+    ASSERT_EQ(dual.landed.size(), base.landed.size());
+    EXPECT_EQ(std::memcmp(dual.landed.data(), base.landed.data(),
+                          base.landed.size() * sizeof(double)),
+              0);
+    for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(base.landed[2 * i], static_cast<double>(i) * 0.25) << "elem " << i;
+        if (i + 1 < kN) {
+            ASSERT_EQ(base.landed[2 * i + 1], -1.0) << "gap " << i;
+        }
+    }
 }
 
 // Parameterized stress: random point-to-point traffic with mixed datatypes

@@ -7,10 +7,9 @@
 // schedules, and the regression tests for the epoch-tag and barrier-partner
 // fixes live here because only a perturbed schedule makes those bugs
 // reachable.
-// The whole matrix additionally sweeps the transfer protocol: threshold 0
-// (every nonempty send attempts zero-copy rendezvous) and threshold
-// SIZE_MAX (pure buffered eager). Under an active SchedulePolicy the
-// rendezvous path must degrade cleanly to buffered delivery, so both
+// The whole matrix additionally sweeps the payload pool's shared-store
+// budget: 0 (every buffer a rank's cache flushes to the shared store is
+// freed) and SIZE_MAX (only the per-class count cap applies). Both
 // settings have to produce identical results on every schedule.
 #include <gtest/gtest.h>
 
@@ -52,37 +51,35 @@ using rt::World;
 // a failure names its (seed, level) pair in the test name.
 constexpr std::uint64_t kSeeds[] = {1, 7, 23, 42, 101, 271, 1009, 65537};
 
-// Both protocol extremes: 0 = every nonempty send attempts rendezvous,
-// SIZE_MAX = pure buffered eager. Under a deferring SchedulePolicy both
-// must behave identically (rendezvous degrades to buffered).
-constexpr std::size_t kThresholds[] = {0, std::numeric_limits<std::size_t>::max()};
+// Both pool-budget extremes: 0 = no shared store, SIZE_MAX = unbounded.
+constexpr std::size_t kPoolBudgets[] = {0, std::numeric_limits<std::size_t>::max()};
 
 class Perturbed
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, std::size_t>> {
 protected:
     std::uint64_t seed() const { return std::get<0>(GetParam()); }
     int level() const { return std::get<1>(GetParam()); }
-    std::size_t threshold() const { return std::get<2>(GetParam()); }
+    std::size_t pool_budget() const { return std::get<2>(GetParam()); }
     SchedulePolicy policy() const { return SchedulePolicy::perturb(seed(), level()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Perturbed,
                          ::testing::Combine(::testing::ValuesIn(kSeeds),
                                             ::testing::Values(1, 2, 3),
-                                            ::testing::ValuesIn(kThresholds)));
+                                            ::testing::ValuesIn(kPoolBudgets)));
 
 // Level-2-only sweep for the heavier fixtures (scatter backends, persistent
-// plans, netsim-routed schedules), still crossed with both protocols.
+// plans, netsim-routed schedules), still crossed with both pool budgets.
 class PerturbedSeed
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
 protected:
     std::uint64_t seed() const { return std::get<0>(GetParam()); }
-    std::size_t threshold() const { return std::get<1>(GetParam()); }
+    std::size_t pool_budget() const { return std::get<1>(GetParam()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PerturbedSeed,
                          ::testing::Combine(::testing::ValuesIn(kSeeds),
-                                            ::testing::ValuesIn(kThresholds)));
+                                            ::testing::ValuesIn(kPoolBudgets)));
 
 // ---------------------------------------------------------------------------
 // point-to-point under perturbation
@@ -94,9 +91,9 @@ TEST_P(Perturbed, UserFifoPreservedAndEventsRecorded) {
     constexpr int kMsgs = 48;
     World w(4);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     std::atomic<std::uint64_t> pending{0}, deferrals{0};
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const int n = c.size();
         const int to = (c.rank() + 1) % n;
         const int from = (c.rank() + n - 1) % n;
@@ -126,8 +123,8 @@ TEST_P(Perturbed, UserFifoPreservedAndEventsRecorded) {
 TEST_P(Perturbed, ProbeSeesPendingDeliveries) {
     World w(2);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         if (c.rank() == 0) {
             const int v = 31;
             c.send_n(&v, 1, 1, 17);
@@ -153,8 +150,8 @@ TEST_P(Perturbed, BasicCollectivesAgree) {
     const int n = 5;
     World w(n);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         // bcast
         std::vector<int> b(8, c.rank() == 2 ? 99 : -1);
         coll::bcast(c, b.data(), b.size() * 4, Datatype::byte(), 2);
@@ -206,9 +203,8 @@ TEST_P(Perturbed, BasicCollectivesAgree) {
     });
 }
 
-void check_allgatherv(World& w, int n, AllgathervAlgo algo, std::size_t thr) {
+void check_allgatherv(World& w, int n, AllgathervAlgo algo) {
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(thr);
         CollConfig cfg;
         cfg.allgatherv_algo = algo;
         std::vector<std::size_t> counts(static_cast<std::size_t>(n));
@@ -238,14 +234,16 @@ TEST_P(Perturbed, AllgathervEveryAlgorithm) {
     {
         World w(5);
         w.set_schedule(policy());
-        check_allgatherv(w, 5, AllgathervAlgo::Ring, threshold());
-        check_allgatherv(w, 5, AllgathervAlgo::Dissemination, threshold());
-        check_allgatherv(w, 5, AllgathervAlgo::Auto, threshold());
+        w.set_payload_pool_budget(pool_budget());
+        check_allgatherv(w, 5, AllgathervAlgo::Ring);
+        check_allgatherv(w, 5, AllgathervAlgo::Dissemination);
+        check_allgatherv(w, 5, AllgathervAlgo::Auto);
     }
     {
         World w(8);  // recursive doubling needs power-of-two ranks
         w.set_schedule(policy());
-        check_allgatherv(w, 8, AllgathervAlgo::RecursiveDoubling, threshold());
+        w.set_payload_pool_budget(pool_budget());
+        check_allgatherv(w, 8, AllgathervAlgo::RecursiveDoubling);
     }
 }
 
@@ -299,8 +297,8 @@ void check_alltoallw(Comm& c, AlltoallwAlgo algo, int salt) {
 TEST_P(Perturbed, AlltoallwBothAlgorithms) {
     World w(5);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         check_alltoallw(c, AlltoallwAlgo::RoundRobin, 1);
         check_alltoallw(c, AlltoallwAlgo::Binned, 2);
     });
@@ -315,8 +313,8 @@ TEST_P(Perturbed, AlltoallwBothAlgorithms) {
 TEST_P(Perturbed, ConsecutiveBinnedAlltoallwDoNotAlias) {
     World w(6);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         for (int call = 0; call < 6; ++call) {
             check_alltoallw(c, AlltoallwAlgo::Binned, call + 3);
         }
@@ -331,10 +329,10 @@ TEST_P(Perturbed, BarrierStormNonPowerOfTwoRanks) {
         constexpr int kRounds = 12;
         World w(n);
         w.set_schedule(policy());
+        w.set_payload_pool_budget(pool_budget());
         std::atomic<int> phase{0};
         std::atomic<int> arrived{0};
         w.run([&](Comm& c) {
-            c.set_rendezvous_threshold(threshold());
             for (int r = 0; r < kRounds; ++r) {
                 EXPECT_EQ(phase.load(), r) << "n=" << n;
                 if (arrived.fetch_add(1) + 1 == c.size()) {
@@ -355,10 +353,10 @@ TEST_P(Perturbed, BarrierStormNonPowerOfTwoRanks) {
 TEST_P(Perturbed, RootCauseErrorWinsOverSecondaryAborts) {
     World w(4);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     bool caught = false;
     try {
         w.run([&](Comm& c) {
-            c.set_rendezvous_threshold(threshold());
             switch (c.rank()) {
                 case 0: {
                     int v = 0;
@@ -399,8 +397,8 @@ TEST_P(Perturbed, IcollOutOfOrderWaits) {
     const int n = 5;
     World w(n);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
 
         std::vector<int> bbuf(16, c.rank() == 2 ? 77 : -1);
         coll::CollRequest bc =
@@ -452,8 +450,8 @@ TEST_P(Perturbed, ConcurrentIalltoallwSchedulesDoNotAlias) {
     const int n = 5;
     World w(n);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const auto un = static_cast<std::size_t>(n);
         std::vector<std::size_t> scounts(un), rcounts(un);
         std::vector<std::ptrdiff_t> sdispls(un), rdispls(un);
@@ -521,8 +519,8 @@ TEST_P(Perturbed, ConcurrentIalltoallwSchedulesDoNotAlias) {
 TEST_P(Perturbed, SparseExchangeAllEmptyNeighborhoods) {
     World w(5);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         for (int round = 0; round < 3; ++round) {
             std::vector<rt::SparseRecv> got = rt::sparse_exchange(c, {});
             EXPECT_TRUE(got.empty()) << "round " << round;
@@ -538,8 +536,8 @@ TEST_P(Perturbed, SparseExchangeIsolatedRank) {
     const int isolated = 3;
     World w(n);
     w.set_schedule(policy());
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         std::vector<std::uint8_t> payload(64, static_cast<std::uint8_t>(c.rank()));
         std::vector<rt::SparseSend> sends;
         if (c.rank() != isolated) {
@@ -567,8 +565,8 @@ TEST_P(Perturbed, SparseExchangeIsolatedRank) {
 TEST_P(PerturbedSeed, EmptyVecScatterEveryBackend) {
     World w(4);
     w.set_schedule(SchedulePolicy::perturb(seed(), 2));
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const Index n = 16;
         Vec src(c, n), dst(c, n);
         for (Index i = src.range().begin; i < src.range().end; ++i) {
@@ -601,8 +599,8 @@ TEST_P(PerturbedSeed, AllZeroAlltoallwPlan) {
     const int n = 4;
     World w(n);
     w.set_schedule(SchedulePolicy::perturb(seed(), 2));
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const auto un = static_cast<std::size_t>(n);
         std::vector<std::size_t> counts(un, 0);
         std::vector<std::ptrdiff_t> displs(un, 0);
@@ -628,8 +626,8 @@ TEST_P(PerturbedSeed, VecScatterEveryBackendForwardAndReverse) {
         for (bool persistent : {false, true}) {
             World w(4);
             w.set_schedule(SchedulePolicy::perturb(seed(), 2));
+            w.set_payload_pool_budget(pool_budget());
             w.run([&](Comm& c) {
-                c.set_rendezvous_threshold(threshold());
                 const Index n = 24;
                 Vec src(c, n), dst(c, n);
                 for (Index i = src.range().begin; i < src.range().end; ++i) {
@@ -669,8 +667,8 @@ TEST_P(PerturbedSeed, SplitPhaseVecScatterEveryBackend) {
     for (ScatterBackend backend : kBackends) {
         World w(4);
         w.set_schedule(SchedulePolicy::perturb(seed(), 2));
+        w.set_payload_pool_budget(pool_budget());
         w.run([&](Comm& c) {
-            c.set_rendezvous_threshold(threshold());
             const Index n = 24;
             Vec src(c, n), dst(c, n);
             for (Index i = src.range().begin; i < src.range().end; ++i) {
@@ -704,8 +702,8 @@ TEST_P(PerturbedSeed, PersistentPlanRepeatedExecutes) {
     const int n = 5;
     World w(n);
     w.set_schedule(SchedulePolicy::perturb(seed(), 3));
+    w.set_payload_pool_budget(pool_budget());
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const auto un = static_cast<std::size_t>(n);
         // Fixed nonuniform shape, contiguous int blocks.
         std::vector<std::size_t> scounts(un), rcounts(un);
@@ -757,9 +755,9 @@ TEST_P(PerturbedSeed, NetsimRoutedScheduleDrivesCollectives) {
     EXPECT_TRUE(pol.enabled);
     EXPECT_TRUE(pol.use_latency_model);
     w.set_schedule(pol);
+    w.set_payload_pool_budget(pool_budget());
     std::atomic<std::uint64_t> deferrals{0};
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         check_alltoallw(c, AlltoallwAlgo::Binned, 9);
         long v = c.rank();
         coll::allreduce(c, &v, 1, ReduceOp::Sum);
@@ -776,8 +774,8 @@ TEST_P(PerturbedSeed, NetsimRoutedScheduleDrivesCollectives) {
 
 // A two-sided AlltoallwPlan obeys rt::use_plans like every other transfer:
 // with the SingleContext engine or with the fastpath off, its Pack ops run
-// their persistent engines (built once, then reset), no plan kernel lands
-// a byte, and the plan-driven pipelined rendezvous stays off. The blocks
+// their persistent engines (built once, then reset) and no plan kernel
+// lands a byte. The blocks
 // are 512 B, above the engines' density threshold, so the engines stream
 // them as dense chunks and plan_hits counts only what the rule decides.
 // The output is bit-identical to the shipping DualContext, fastpath-on plan.
@@ -804,7 +802,7 @@ TEST(PersistentPlan, TwoSidedPlansObeyTheEngineRule) {
             const std::vector<std::ptrdiff_t> displs(2, 0);
             const std::vector<Datatype> types(2, strided);
             CollConfig config;
-            config.persistent_protocol = rt::Protocol::Rendezvous;
+            config.persistent_protocol = rt::Protocol::Eager;
             coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types, config,
                                      kind);
             ASSERT_FALSE(plan.rma());
@@ -838,7 +836,6 @@ TEST(PersistentPlan, TwoSidedPlansObeyTheEngineRule) {
             EXPECT_EQ(r.steady.persistent_executes, 3u);
             EXPECT_EQ(r.steady.plan_hits, 0u);
             EXPECT_EQ(r.steady.engine_builds, 0u);
-            EXPECT_EQ(r.steady.rt_rdzv_pipelined_msgs, 0u);
             ASSERT_EQ(r.out.size(), shipping[rank].out.size());
             EXPECT_EQ(std::memcmp(r.out.data(), shipping[rank].out.data(),
                                   r.out.size() * sizeof(double)),
@@ -847,18 +844,14 @@ TEST(PersistentPlan, TwoSidedPlansObeyTheEngineRule) {
     }
 }
 
-// Protocol::Auto is one static size rule, so a receiver knows exactly which
-// sources are rendezvous-bound and sends a clear-to-send only to those. A
-// plan whose peers all sit below the default threshold (the Fig. 15 ring's
-// 800 B messages) carries no handshake at all: no token sends on the
-// receive side, no token receives on the send side.
+// A two-sided plan is payload only: one round of typed receives and
+// pack+send pairs, with no zero-byte clear-to-send tokens in either
+// direction (the Fig. 15 ring's 800 B shape).
 TEST(PersistentPlan, EagerPeersGetNoClearToSend) {
     constexpr int kRanks = 4;
     constexpr std::size_t kBytes = 800;
-    constexpr int kCtsOffset = 0x80;  // persistent.cpp's clear-to-send lane
     World w(kRanks);
     w.run([&](Comm& c) {
-        ASSERT_EQ(c.rendezvous_threshold(), rt::kDefaultRendezvousThreshold);
         const auto n = static_cast<std::size_t>(c.size());
         const auto me = static_cast<std::size_t>(c.rank());
         std::vector<std::size_t> counts(n, kBytes);
@@ -871,18 +864,19 @@ TEST(PersistentPlan, EagerPeersGetNoClearToSend) {
         coll::AlltoallwPlan plan(c, counts, displs, types, counts, displs, types, config);
         ASSERT_FALSE(plan.rma());
 
-        std::size_t cts_ops = 0, sends = 0;
+        std::size_t sends = 0, recvs = 0;
         for (const coll::ScheduleOp& op : plan.schedule().ops) {
             const bool p2p = op.kind == coll::ScheduleOpKind::Send ||
                              op.kind == coll::ScheduleOpKind::Recv;
-            if (p2p && op.tag_offset == kCtsOffset) ++cts_ops;
-            if (op.kind == coll::ScheduleOpKind::Send) {
-                ++sends;
-                EXPECT_EQ(op.proto, rt::Protocol::Eager);
+            if (p2p) {  // no zero-byte tokens
+                EXPECT_EQ(op.bytes, kBytes);
             }
+            if (op.kind == coll::ScheduleOpKind::Send) ++sends;
+            if (op.kind == coll::ScheduleOpKind::Recv) ++recvs;
         }
-        EXPECT_EQ(cts_ops, 0u);
         EXPECT_EQ(sends, n - 1);
+        EXPECT_EQ(recvs, n - 1);
+        EXPECT_EQ(plan.schedule().rounds, 1);
 
         std::vector<std::uint8_t> src(n * kBytes), dst(n * kBytes, 0);
         for (std::size_t i = 0; i < src.size(); ++i) {

@@ -8,7 +8,7 @@
 // directly from the shared pattern seed (every rank can enumerate the full
 // p x p pattern), so no dense collective is needed to check the sparse
 // one. The whole matrix re-runs under seeded SchedulePolicy perturbation
-// (deferred deliveries, stalls, reordering) and both rendezvous-threshold
+// (deferred deliveries, stalls, reordering) and both payload-pool budget
 // extremes, the same gate the schedule-stress suite pins.
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ using rt::SparseSend;
 using rt::World;
 
 constexpr std::uint64_t kSeeds[] = {1, 7, 23, 42, 101, 271, 1009, 65537};
-constexpr std::size_t kThresholds[] = {0, std::numeric_limits<std::size_t>::max()};
+constexpr std::size_t kPoolBudgets[] = {0, std::numeric_limits<std::size_t>::max()};
 
 // SplitMix64 — deterministic, seedable, no global state. Both the pattern
 // (does src send to dst?) and the payload bytes derive from it, so sender
@@ -74,14 +74,14 @@ std::vector<std::byte> pattern_payload(std::uint64_t seed, int src, int dst) {
 // Varying the seed per round exercises tag-epoch separation: a rank may
 // enter round r+1 while a slow peer is still in round r's final barrier.
 void run_pattern(int n, std::uint64_t seed, int rounds, SchedulePolicy policy,
-                 std::size_t threshold) {
+                 std::size_t pool_budget) {
     World w(n);
     w.set_schedule(policy);
+    w.set_payload_pool_budget(pool_budget);
     std::atomic<std::uint64_t> exchanges{0};
     std::atomic<std::uint64_t> sent{0};
     std::atomic<std::uint64_t> recvd{0};
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold);
         const int rank = c.rank();
         for (int round = 0; round < rounds; ++round) {
             const std::uint64_t s = seed + static_cast<std::uint64_t>(round) * 1000003;
@@ -305,28 +305,28 @@ TEST(SparseExchange, TypedWrapperRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// property sweep: random patterns x schedule perturbation x protocol
+// property sweep: random patterns x schedule perturbation x pool budget
 
 class SparsePerturbed
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, std::size_t>> {
 protected:
     std::uint64_t seed() const { return std::get<0>(GetParam()); }
     int level() const { return std::get<1>(GetParam()); }
-    std::size_t threshold() const { return std::get<2>(GetParam()); }
+    std::size_t pool_budget() const { return std::get<2>(GetParam()); }
     SchedulePolicy policy() const { return SchedulePolicy::perturb(seed(), level()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparsePerturbed,
                          ::testing::Combine(::testing::ValuesIn(kSeeds),
                                             ::testing::Values(0, 2, 3),
-                                            ::testing::ValuesIn(kThresholds)));
+                                            ::testing::ValuesIn(kPoolBudgets)));
 
 TEST_P(SparsePerturbed, RandomPatternMatchesOracle) {
-    run_pattern(6, seed(), 3, policy(), threshold());
+    run_pattern(6, seed(), 3, policy(), pool_budget());
 }
 
 TEST_P(SparsePerturbed, WiderWorldSingleRound) {
-    run_pattern(12, seed() ^ 0xf00d, 1, policy(), threshold());
+    run_pattern(12, seed() ^ 0xf00d, 1, policy(), pool_budget());
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Transport stress matrix for the sharded lane mailboxes: the all-pairs
-// storm, wildcard sinks, ring-overflow bursts and mixed-protocol FIFO
-// streams, crossed with the seeded SchedulePolicy perturbation ladder
-// (level 0 = policy off, the SPSC fastpath; levels 1-3 = all traffic
-// routed through the per-destination delivery queues and the overflow
-// lists) and three rendezvous thresholds (0 = every nonempty send attempts
-// zero-copy, 32 KiB = the default split, SIZE_MAX = pure buffered eager).
+// storm, wildcard sinks, ring-overflow bursts and mixed-size FIFO streams,
+// crossed with the seeded SchedulePolicy perturbation ladder (level 0 =
+// policy off, the SPSC fastpath; levels 1-3 = all traffic routed through
+// the per-destination delivery queues and the overflow lists) and three
+// payload-pool budgets for the shared store behind the per-rank caches
+// (0 = every flushed buffer is freed, 32 KiB = constant trimming, SIZE_MAX
+// = only the per-class count cap applies).
 // Run under the `stress` ctest label, which the asan/tsan presets execute —
 // ThreadSanitizer over this matrix is what validates the lock-free
 // ring/claim/pulse protocol end to end.
@@ -28,27 +29,28 @@ using rt::SchedulePolicy;
 using rt::World;
 
 // Same fixed seed set as test_schedule_stress: failures name their
-// (seed, level, threshold) triple in the test name.
+// (seed, level, pool budget) triple in the test name.
 constexpr std::uint64_t kSeeds[] = {1, 7, 23, 42, 101, 271, 1009, 65537};
-constexpr std::size_t kThresholds[] = {0, 32 * 1024, std::numeric_limits<std::size_t>::max()};
+constexpr std::size_t kPoolBudgets[] = {0, 32 * 1024, std::numeric_limits<std::size_t>::max()};
 
 class TransportMatrix
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, std::size_t>> {
 protected:
     std::uint64_t seed() const { return std::get<0>(GetParam()); }
     int level() const { return std::get<1>(GetParam()); }
-    std::size_t threshold() const { return std::get<2>(GetParam()); }
+    std::size_t pool_budget() const { return std::get<2>(GetParam()); }
     bool perturbed() const { return level() > 0; }
 
     void install(World& w) const {
         if (perturbed()) w.set_schedule(SchedulePolicy::perturb(seed(), level()));
+        w.set_payload_pool_budget(pool_budget());
     }
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, TransportMatrix,
                          ::testing::Combine(::testing::ValuesIn(kSeeds),
                                             ::testing::Values(0, 1, 2, 3),
-                                            ::testing::ValuesIn(kThresholds)));
+                                            ::testing::ValuesIn(kPoolBudgets)));
 
 // All-pairs storm: every rank exchanges a tagged word with every peer each
 // round, waiting the whole batch. Verifies payloads, then that the
@@ -62,7 +64,6 @@ TEST_P(TransportMatrix, AllPairsStormPayloadsAndPaths) {
     install(w);
     std::atomic<std::uint64_t> fast{0}, overflow{0};
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const int n = c.size();
         const int me = c.rank();
         std::vector<int> out(static_cast<std::size_t>(n)), in(static_cast<std::size_t>(n));
@@ -109,7 +110,6 @@ TEST_P(TransportMatrix, WildcardSinkPreservesPerSourceOrder) {
     World w(kRanks);
     install(w);
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const int n = c.size();
         if (c.rank() == 0) {
             const int total = (n - 1) * kPerSource;
@@ -151,7 +151,6 @@ TEST_P(TransportMatrix, RingOverflowBurstKeepsFifo) {
     install(w);
     std::atomic<std::uint64_t> overflow{0};
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         if (c.rank() == 0) {
             for (int i = 0; i < kBurst; ++i) {
                 c.send(&i, sizeof(int), Datatype::byte(), 1, 3);
@@ -173,10 +172,10 @@ TEST_P(TransportMatrix, RingOverflowBurstKeepsFifo) {
     EXPECT_GT(overflow.load(), 0u) << "a 64-message burst must spill the 8-slot ring";
 }
 
-// Mixed-size same-tag streams across the eager/rendezvous split, both with
-// receives pre-posted (rendezvous-eligible, gated on the lane being fully
-// consumed) and posted late (everything degrades to the stash path). A
-// large message must never overtake the small ones sent before it.
+// Mixed-size same-tag streams across four pool size classes, both with
+// receives pre-posted (arrivals match the posted-receive registry) and
+// posted late (everything waits in the stash). A large message must never
+// overtake the small ones sent before it.
 TEST_P(TransportMatrix, MixedProtocolStreamKeepsFifo) {
     constexpr std::size_t kSizes[] = {16, 1024, 64 * 1024, 200 * 1024};
     constexpr int kReps = 2;
@@ -184,7 +183,6 @@ TEST_P(TransportMatrix, MixedProtocolStreamKeepsFifo) {
     World w(4);
     install(w);
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         const int n = c.size();
         const int to = (c.rank() + 1) % n;
         const int from = (c.rank() + n - 1) % n;
@@ -236,7 +234,6 @@ TEST_P(TransportMatrix, ProbeSeesStashedTraffic) {
     World w(3);
     install(w);
     w.run([&](Comm& c) {
-        c.set_rendezvous_threshold(threshold());
         if (c.rank() == 0) {
             const long v = 424242;
             c.send(&v, sizeof(long), Datatype::byte(), 2, 9);
