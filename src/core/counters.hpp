@@ -129,10 +129,18 @@ struct StatCounters {
     // assert its steady state stays off the locks; rt_cv_waits/rt_cv_notifies
     // count actual condition-variable blocks and wakeups after the bounded
     // spin-then-sleep and notify-only-when-a-sleeper-is-registered gates.
+    // rt_cv_waits is the sum of its per-wait-site split: recv (Comm::wait on
+    // a receive), send (Comm::wait on a pending send), epoch
+    // (Comm::wait_until: RMA fences and pscw) and probe (Comm::probe).
     std::uint64_t rt_lane_fast_deliveries = 0;      ///< envelopes delivered via an SPSC lane ring
     std::uint64_t rt_lane_overflow_deliveries = 0;  ///< envelopes routed via the overflow list
     std::uint64_t rt_lock_acquisitions = 0;         ///< transport mutex acquisitions
     std::uint64_t rt_cv_waits = 0;                  ///< condition-variable blocks (post-spin)
+    std::uint64_t rt_cv_waits_recv = 0;             ///< ... parked in a receive wait
+    std::uint64_t rt_cv_waits_send = 0;             ///< ... parked in a pending-send wait
+    std::uint64_t rt_cv_waits_epoch = 0;            ///< ... parked in an RMA epoch wait
+    std::uint64_t rt_cv_waits_probe = 0;            ///< ... parked in a blocking probe
+    std::uint64_t rt_spin_windows = 0;              ///< bounded spin windows opened (<= 1 per wait)
     std::uint64_t rt_cv_notifies = 0;               ///< condition-variable notify calls issued
     std::uint64_t rt_pool_local_hits = 0;           ///< acquires served by the per-rank pool cache
     /// High-water mark of bytes resident in the shared payload pool as
@@ -220,6 +228,11 @@ struct StatCounters {
         rt_lane_overflow_deliveries += o.rt_lane_overflow_deliveries;
         rt_lock_acquisitions += o.rt_lock_acquisitions;
         rt_cv_waits += o.rt_cv_waits;
+        rt_cv_waits_recv += o.rt_cv_waits_recv;
+        rt_cv_waits_send += o.rt_cv_waits_send;
+        rt_cv_waits_epoch += o.rt_cv_waits_epoch;
+        rt_cv_waits_probe += o.rt_cv_waits_probe;
+        rt_spin_windows += o.rt_spin_windows;
         rt_cv_notifies += o.rt_cv_notifies;
         rt_pool_local_hits += o.rt_pool_local_hits;
         if (o.rt_pool_resident_bytes > rt_pool_resident_bytes) {

@@ -207,9 +207,9 @@ const FlatType& Datatype::flat() const {
     return *n.flat;
 }
 
-const PackPlan& Datatype::plan() const {
+const PackPlan& Datatype::plan(StatCounters* stats) const {
     const TypeNode& n = *raw(*this);
-    std::call_once(n.plan_once, [&] { n.plan = PlanCache::instance().get(*this); });
+    std::call_once(n.plan_once, [&] { n.plan = PlanCache::instance().get(*this, stats); });
     return *n.plan;
 }
 

@@ -21,6 +21,10 @@
 #include <string>
 #include <vector>
 
+namespace nncomm {
+struct StatCounters;  // core/counters.hpp
+}
+
 namespace nncomm::dt {
 
 class FlatType;  // flatten.hpp
@@ -113,7 +117,9 @@ public:
     /// copy parameters. Resolved through the process-wide PlanCache on
     /// first use and memoized on the node, so repeated sends of the same
     /// type pay no lookup and structurally equal types share one plan.
-    const PackPlan& plan() const;
+    /// The call that compiles (a PlanCache miss) counts one plan_compiles
+    /// in `stats` when given.
+    const PackPlan& plan(StatCounters* stats = nullptr) const;
 
     friend bool operator==(const Datatype& a, const Datatype& b) { return a.node_ == b.node_; }
 

@@ -13,7 +13,7 @@ PackEngine::PackEngine(const void* base, const Datatype& type, std::size_t count
     NNCOMM_CHECK_MSG(config.pipeline_chunk > 0, "pipeline chunk must be > 0");
     NNCOMM_CHECK_MSG(config.lookahead_blocks > 0, "look-ahead window must be > 0");
     total_bytes_ = static_cast<std::uint64_t>(type.size()) * count;
-    plan_ = &type_.plan();  // commit-time compile / cache lookup
+    plan_ = &type_.plan(&counters_);  // commit-time compile / cache lookup
     ++counters_.engine_builds;
     ++counters_.scratch_allocs;
     scratch_.resize(config.pipeline_chunk);

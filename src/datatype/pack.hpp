@@ -61,7 +61,7 @@ inline std::size_t unpack_bytes(std::byte* base, TypeCursor& cur, std::span<cons
 inline void pack_into(const void* base, const Datatype& type, std::size_t count,
                       std::span<std::byte> out, StatCounters* stats = nullptr) {
     NNCOMM_CHECK_MSG(out.size() == type.size() * count, "pack_into: size mismatch");
-    type.plan().pack(type.flat(), static_cast<const std::byte*>(base), count, out, stats);
+    type.plan(stats).pack(type.flat(), static_cast<const std::byte*>(base), count, out, stats);
 }
 
 /// Unpacks a full packed stream into `count` instances of `type` at `base`,
@@ -69,7 +69,7 @@ inline void pack_into(const void* base, const Datatype& type, std::size_t count,
 inline void unpack_from(void* base, const Datatype& type, std::size_t count,
                         std::span<const std::byte> in, StatCounters* stats = nullptr) {
     NNCOMM_CHECK_MSG(in.size() == type.size() * count, "unpack_from: size mismatch");
-    type.plan().unpack(type.flat(), static_cast<std::byte*>(base), count, in, stats);
+    type.plan(stats).unpack(type.flat(), static_cast<std::byte*>(base), count, in, stats);
 }
 
 /// Packs `count` instances of `type` at `base` into a fresh vector.

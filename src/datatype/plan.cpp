@@ -486,7 +486,7 @@ PlanCache::Impl& PlanCache::impl() const {
     return i;
 }
 
-std::shared_ptr<const PackPlan> PlanCache::get(const Datatype& type) {
+std::shared_ptr<const PackPlan> PlanCache::get(const Datatype& type, StatCounters* stats) {
     const FlatType& flat = type.flat();
     const Impl::Key key{structural_signature(flat), flat.size(), flat.extent(),
                         flat.block_count()};
@@ -509,6 +509,7 @@ std::shared_ptr<const PackPlan> PlanCache::get(const Datatype& type) {
     std::lock_guard<std::mutex> lk(im.mu);
     if (auto hit = lookup()) return hit;
     ++im.st.misses;
+    if (stats) ++stats->plan_compiles;
     auto it = im.index.find(key.sig);
     if (it != im.index.end()) {
         // Signature collision with a structurally different type: replace.

@@ -156,8 +156,9 @@ public:
     static PlanCache& instance();
 
     /// Returns the cached plan for `type`'s flattened layout, compiling on
-    /// miss. The returned plan is shared and immutable.
-    std::shared_ptr<const PackPlan> get(const Datatype& type);
+    /// miss (counted in `stats->plan_compiles` when given). The returned
+    /// plan is shared and immutable.
+    std::shared_ptr<const PackPlan> get(const Datatype& type, StatCounters* stats = nullptr);
 
     struct Stats {
         std::uint64_t hits = 0;

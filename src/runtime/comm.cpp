@@ -374,6 +374,10 @@ struct WorldState {
     std::vector<std::unique_ptr<Mailbox>> boxes;
     std::atomic<bool> aborted{false};
     std::atomic<int> next_context{1};
+    /// Waiters may spin out kSpinWindow before parking: false when the
+    /// world has more ranks than the host has hardware threads, where the
+    /// rank that would end the wait may need this waiter's core.
+    bool spin_window = false;
 
     SchedulePolicy policy;  ///< fixed for the duration of a run
 
@@ -569,12 +573,80 @@ using detail::WorldState;
 
 namespace {
 
-/// Bounded spin before a waiter registers as a sleeper. Kept short: the
-/// check is one relaxed load of the mailbox pulse, and on an oversubscribed
-/// host the yields hand the slice to the rank that will produce the data.
+/// The wait discipline shared by every blocking call: kSpinChecks polls,
+/// then (once per call) a spin window of kSpinWindow that keeps polling
+/// with a yield every kWindowYieldEvery checks, then cycles of kSpinYields
+/// yields and one registered kSleepSlice sleep. The window rides out the
+/// 10-20 us skew between ranks' RMA fences in a steady scatter, which a
+/// sleeper would otherwise pay as a ~5-6 us futex wake-up on every fence;
+/// charged once per call, a long wait costs at most one window of CPU.
 constexpr int kSpinChecks = 16;
 constexpr int kSpinYields = 4;
+constexpr int kWindowYieldEvery = 8;
+constexpr auto kSpinWindow = std::chrono::microseconds(25);
 constexpr auto kSleepSlice = std::chrono::microseconds(200);
+/// Perturbed-schedule re-poll: those waiters drive the delivery engine
+/// themselves and sleep only after a pass that delivered nothing.
+constexpr auto kPerturbedSlice = std::chrono::microseconds(100);
+
+/// Where a waiter parked, for the per-site rt_cv_waits_* split.
+using WaitSite = std::uint64_t StatCounters::*;
+
+/// One registered timed sleep on `box`, skipped when its pulse moved past
+/// `seen` or the world is aborting. The seq_cst registration pairs with
+/// pulse()'s seq_cst bump-then-read-sleepers: either this re-check sees the
+/// bump or the deliverer sees the sleeper and notifies. The timed slice is
+/// the self-healing backstop (and absorbs the delayed-wakeup fault).
+void sleep_slice(WorldState& world, Mailbox& box, std::uint64_t seen, StatCounters& counters,
+                 WaitSite site, std::chrono::microseconds slice) {
+    box.sleepers.fetch_add(1, std::memory_order_seq_cst);
+    {
+        std::unique_lock<std::mutex> lk(box.wait_mu);
+        if (box.seq.load(std::memory_order_seq_cst) == seen &&
+            !world.aborted.load(std::memory_order_acquire)) {
+            ++counters.rt_cv_waits;
+            ++(counters.*site);
+            box.cv.wait_for(lk, slice);
+        }
+    }
+    box.sleepers.fetch_sub(1, std::memory_order_release);
+}
+
+/// Blocks until `poll()` returns true, parking on `box`, whose pulse every
+/// event that can end the wait bumps. `poll` does the call's own progress
+/// work (drain, drive the delivery engine) and is always tried before the
+/// abort check, so a wait that can complete does. The pulse is read before
+/// each poll, so a delivery the poll missed keeps the waiter awake.
+template <class Poll>
+void park(WorldState& world, Mailbox& box, StatCounters& counters, WaitSite site,
+          const char* what, Poll&& poll) {
+    int spins = 0;
+    bool window = world.spin_window;
+    std::chrono::steady_clock::time_point window_end;
+    for (;;) {
+        const std::uint64_t seen = box.seq.load(std::memory_order_seq_cst);
+        if (poll()) return;
+        if (world.aborted.load(std::memory_order_acquire)) throw AbortedError(what);
+        if (++spins <= kSpinChecks) continue;
+        if (window) {
+            const auto now = std::chrono::steady_clock::now();
+            if (spins == kSpinChecks + 1) {
+                window_end = now + kSpinWindow;
+                ++counters.rt_spin_windows;
+            }
+            if (now < window_end) {
+                if (spins % kWindowYieldEvery == 0) std::this_thread::yield();
+                continue;
+            }
+            window = false;
+        } else if (spins <= kSpinChecks + kSpinYields) {
+            std::this_thread::yield();
+            continue;
+        }
+        spins = 0;
+        sleep_slice(world, box, seen, counters, site, kSleepSlice);
+    }
+}
 
 /// Dense copies below this size are not phase-timed: the two clock reads
 /// would cost more than the copy. Engine-driven noncontiguous packs are
@@ -781,7 +853,7 @@ public:
         if (dense_) {
             std::memcpy(base_ + pos_, p, len);
         } else if (plans_) {
-            type_.plan().unpack_range(flat_, base_, count_, pos_, {p, len}, &counters_);
+            type_.plan(&counters_).unpack_range(flat_, base_, count_, pos_, {p, len}, &counters_);
         } else {
             NNCOMM_CHECK(dt::unpack_bytes(base_, cur_, {p, len}) == len);
         }
@@ -822,7 +894,7 @@ void transfer(const void* src, std::size_t scount, const dt::Datatype& stype, vo
         return;
     }
     const bool plans = use_plans(ctx.kind, ctx.config);
-    if (rdense && plans && stype.plan().specialized()) {
+    if (rdense && plans && stype.plan(&ctx.counters).specialized()) {
         PhaseScope scope(ctx.timers, Phase::Pack);  // gather through the send plan
         ++ctx.counters.plan_hits;
         ctx.counters.bytes_packed += total;
@@ -978,78 +1050,27 @@ RecvStatus Comm::wait(Request& request) {
     if (req.kind == RequestState::Kind::Send) {
         // Pending buffered send: complete when the envelope reaches the
         // destination mailbox. This rank drives the delivery engine itself,
-        // but another rank's drain pass may complete the send first — that
-        // drain pulses this rank's mailbox (drain_dest), so after a bounded
-        // spin the waiter parks in a registered timed sleep instead of
-        // yield-spinning. An unbounded yield loop here starves the scheduler
-        // when many oversubscribed copies contend for one core (the
-        // PersistentPlanRepeatedExecutes livelock).
-        Mailbox& sbox = *world_->boxes[static_cast<std::size_t>(req.owner_rank)];
-        int spins = 0;
-        while (!req.delivered.load(std::memory_order_acquire)) {
-            if (progress() > 0) continue;
-            if (req.delivered.load(std::memory_order_acquire)) break;
-            if (world_->aborted.load(std::memory_order_acquire)) {
-                throw AbortedError("runtime aborted while waiting for a send");
-            }
-            ++spins;
-            if (spins <= kSpinChecks) continue;
-            if (spins <= kSpinChecks + kSpinYields) {
-                std::this_thread::yield();
-                continue;
-            }
-            spins = 0;
-            sbox.sleepers.fetch_add(1, std::memory_order_seq_cst);
-            const std::uint64_t seen = sbox.seq.load(std::memory_order_seq_cst);
-            {
-                std::unique_lock<std::mutex> lk(sbox.wait_mu);
-                if (sbox.seq.load(std::memory_order_seq_cst) == seen &&
-                    !req.delivered.load(std::memory_order_acquire) &&
-                    !world_->aborted.load(std::memory_order_acquire)) {
-                    ++counters_.rt_cv_waits;
-                    sbox.cv.wait_for(lk, kSleepSlice);
-                }
-            }
-            sbox.sleepers.fetch_sub(1, std::memory_order_release);
-        }
+        // but another rank's drain pass may complete the send first; that
+        // drain pulses this rank's mailbox (drain_dest), so the waiter can
+        // park instead of yield-spinning. An unbounded yield loop here
+        // starves the scheduler when many oversubscribed copies contend for
+        // one core (the PersistentPlanRepeatedExecutes livelock).
+        park(*world_, *world_->boxes[static_cast<std::size_t>(req.owner_rank)], counters_,
+             &StatCounters::rt_cv_waits_send, "runtime aborted while waiting for a send", [&] {
+                 progress();
+                 return req.delivered.load(std::memory_order_acquire);
+             });
         req.complete = true;
         return req.status;
     }
 
+    // A matched request always completes, even when the world is aborting:
+    // the message is here, and consuming it cannot mask the root cause.
+    constexpr const char* kAbortedRecv = "runtime aborted while waiting for a message";
     Mailbox& box = *world_->boxes[static_cast<std::size_t>(req.owner_rank)];
     if (!world_->policy.enabled) {
-        // Spin-then-sleep: a bounded burst of pulse checks (one relaxed
-        // load when nothing changed), a few yields, then a registered
-        // sleep. The deliverer notifies only when it sees the registration;
-        // the timed wait is the self-healing backstop. A matched request
-        // always completes, even when the world is aborting — the message
-        // is here; consuming it cannot mask the root cause.
-        int spins = 0;
-        while (!try_complete_recv(req)) {
-            if (world_->aborted.load(std::memory_order_acquire)) {
-                throw AbortedError("runtime aborted while waiting for a message");
-            }
-            ++spins;
-            if (spins <= kSpinChecks) {
-                continue;
-            }
-            if (spins <= kSpinChecks + kSpinYields) {
-                std::this_thread::yield();
-                continue;
-            }
-            spins = 0;
-            box.sleepers.fetch_add(1, std::memory_order_seq_cst);
-            {
-                std::unique_lock<std::mutex> lk(box.wait_mu);
-                if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                    !req.matched &&
-                    !world_->aborted.load(std::memory_order_acquire)) {
-                    ++counters_.rt_cv_waits;
-                    box.cv.wait_for(lk, kSleepSlice);
-                }
-            }
-            box.sleepers.fetch_sub(1, std::memory_order_release);
-        }
+        park(*world_, box, counters_, &StatCounters::rt_cv_waits_recv, kAbortedRecv,
+             [&] { return try_complete_recv(req); });
     } else {
         // Perturbed schedule: this waiter must also drive the delivery
         // engine, and re-polls on a timeout so suppressed notifications
@@ -1057,21 +1078,10 @@ RecvStatus Comm::wait(Request& request) {
         for (;;) {
             const bool delivered_any = progress() > 0;
             if (try_complete_recv(req)) break;
-            if (world_->aborted.load(std::memory_order_acquire)) {
-                throw AbortedError("runtime aborted while waiting for a message");
-            }
+            if (world_->aborted.load(std::memory_order_acquire)) throw AbortedError(kAbortedRecv);
             if (!delivered_any) {
-                box.sleepers.fetch_add(1, std::memory_order_seq_cst);
-                {
-                    std::unique_lock<std::mutex> lk(box.wait_mu);
-                    if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                        !req.matched &&
-                        !world_->aborted.load(std::memory_order_acquire)) {
-                        ++counters_.rt_cv_waits;
-                        box.cv.wait_for(lk, std::chrono::microseconds(100));
-                    }
-                }
-                box.sleepers.fetch_sub(1, std::memory_order_release);
+                sleep_slice(*world_, box, box.drained_seq, counters_,
+                            &StatCounters::rt_cv_waits_recv, kPerturbedSlice);
             }
         }
     }
@@ -1085,32 +1095,12 @@ void Comm::pulse_rank(int rank) {
 }
 
 void Comm::wait_until(const std::function<bool()>& pred) {
-    Mailbox& box = *world_->boxes[static_cast<std::size_t>(rank_)];
-    int spins = 0;
-    while (!pred()) {
-        if (world_->aborted.load(std::memory_order_acquire)) {
-            throw AbortedError("runtime aborted while waiting for a one-sided epoch");
-        }
-        if (progress() > 0) continue;
-        ++spins;
-        if (spins <= kSpinChecks) continue;
-        if (spins <= kSpinChecks + kSpinYields) {
-            std::this_thread::yield();
-            continue;
-        }
-        spins = 0;
-        box.sleepers.fetch_add(1, std::memory_order_seq_cst);
-        const std::uint64_t seen = box.seq.load(std::memory_order_seq_cst);
-        {
-            std::unique_lock<std::mutex> lk(box.wait_mu);
-            if (box.seq.load(std::memory_order_seq_cst) == seen && !pred() &&
-                !world_->aborted.load(std::memory_order_acquire)) {
-                ++counters_.rt_cv_waits;
-                box.cv.wait_for(lk, kSleepSlice);
-            }
-        }
-        box.sleepers.fetch_sub(1, std::memory_order_release);
-    }
+    park(*world_, *world_->boxes[static_cast<std::size_t>(rank_)], counters_,
+         &StatCounters::rt_cv_waits_epoch, "runtime aborted while waiting for a one-sided epoch",
+         [&] {
+             progress();
+             return pred();
+         });
 }
 
 RecvStatus Comm::finish_recv(RequestState& req) {
@@ -1242,56 +1232,28 @@ ProbeStatus scan_unexpected(Mailbox& box, int source, int tag, int context) {
 }  // namespace
 
 ProbeStatus Comm::probe(int source, int tag) {
+    constexpr const char* kAbortedProbe = "runtime aborted while probing";
     Mailbox& box = *world_->boxes[static_cast<std::size_t>(rank_)];
+    ProbeStatus st;
     if (!world_->policy.enabled) {
-        int spins = 0;
-        for (;;) {
+        park(*world_, box, counters_, &StatCounters::rt_cv_waits_probe, kAbortedProbe, [&] {
             process_arrivals();
-            ProbeStatus st = scan_unexpected(box, source, tag, context_);
-            if (st.found) return st;
-            if (world_->aborted.load(std::memory_order_acquire)) {
-                throw AbortedError("runtime aborted while probing");
-            }
-            ++spins;
-            if (spins <= kSpinChecks) continue;
-            if (spins <= kSpinChecks + kSpinYields) {
-                std::this_thread::yield();
-                continue;
-            }
-            spins = 0;
-            box.sleepers.fetch_add(1, std::memory_order_seq_cst);
-            {
-                std::unique_lock<std::mutex> lk(box.wait_mu);
-                if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                    !world_->aborted.load(std::memory_order_acquire)) {
-                    ++counters_.rt_cv_waits;
-                    box.cv.wait_for(lk, kSleepSlice);
-                }
-            }
-            box.sleepers.fetch_sub(1, std::memory_order_release);
-        }
+            st = scan_unexpected(box, source, tag, context_);
+            return st.found;
+        });
+        return st;
     }
     // Perturbed schedule: drive delivery between scans and re-poll on a
     // timeout (probes have no matched flag a notify could be tied to).
     for (;;) {
         const bool delivered_any = progress() > 0;
         process_arrivals();
-        ProbeStatus st = scan_unexpected(box, source, tag, context_);
+        st = scan_unexpected(box, source, tag, context_);
         if (st.found) return st;
-        if (world_->aborted.load(std::memory_order_acquire)) {
-            throw AbortedError("runtime aborted while probing");
-        }
+        if (world_->aborted.load(std::memory_order_acquire)) throw AbortedError(kAbortedProbe);
         if (!delivered_any) {
-            box.sleepers.fetch_add(1, std::memory_order_seq_cst);
-            {
-                std::unique_lock<std::mutex> lk(box.wait_mu);
-                if (box.seq.load(std::memory_order_seq_cst) == box.drained_seq &&
-                    !world_->aborted.load(std::memory_order_acquire)) {
-                    ++counters_.rt_cv_waits;
-                    box.cv.wait_for(lk, std::chrono::microseconds(100));
-                }
-            }
-            box.sleepers.fetch_sub(1, std::memory_order_release);
+            sleep_slice(*world_, box, box.drained_seq, counters_,
+                        &StatCounters::rt_cv_waits_probe, kPerturbedSlice);
         }
     }
 }
@@ -1359,6 +1321,8 @@ World::World(int nranks) : nranks_(nranks), state_(std::make_unique<WorldState>(
     state_->done_send->kind = RequestState::Kind::Send;
     state_->done_send->delivered.store(true, std::memory_order_release);
     state_->done_send->complete = true;
+    const unsigned cores = std::thread::hardware_concurrency();
+    state_->spin_window = cores != 0 && static_cast<unsigned>(nranks) <= cores;
 }
 
 World::~World() = default;

@@ -47,11 +47,17 @@
 // the registry or the stashes, so both are receiver-private and lock-free.
 // The delivery engine is sharded per destination with an atomic drain
 // claim instead of a global lock, the payload pool fronts its shared store
-// with per-rank caches (batch refill/flush under a byte budget), and
-// waiters spin briefly on a per-mailbox sequence counter before registering
-// as sleepers — deliverers only touch the condition variable when a sleeper
-// is registered. The rt_lane_* / rt_lock_acquisitions / rt_cv_* /
-// rt_pool_local_hits counters make all of this observable.
+// with per-rank caches (batch refill/flush under a byte budget), and every
+// blocking call (wait, wait_until, probe) shares one wait discipline on a
+// per-mailbox sequence counter: a few polls, then one bounded spin window
+// per call (~25 us, sized to ride out the skew between ranks' RMA fences
+// rather than pay a futex wake-up per fence), then registered timed
+// sleeps. A world with more ranks than hardware threads skips the window,
+// since the rank that ends the wait may need the waiter's core. Deliverers
+// only touch the condition variable when a sleeper is registered. The
+// rt_lane_* / rt_lock_acquisitions / rt_cv_* (split per wait site) /
+// rt_spin_windows / rt_pool_local_hits counters make all of this
+// observable.
 #pragma once
 
 #include <cstddef>
@@ -214,11 +220,12 @@ public:
     /// rt::Win epochs signal completion through this — the same seq-counter
     /// path every delivery rides — instead of mailbox messages.
     void pulse_rank(int rank);
-    /// Blocks until `pred()` turns true, using the spin / yield / registered
-    /// timed-sleep discipline of the message waiters, driving the delivery
-    /// engine between checks. `pred` must become true through another
-    /// rank's store followed by a pulse_rank(this rank) (or any delivery to
-    /// this rank); the timed slice self-heals a suppressed notify.
+    /// Blocks until `pred()` turns true, using the message waiters' wait
+    /// discipline (polls, one bounded spin window per call, then registered
+    /// timed sleeps), driving the delivery engine between checks. `pred`
+    /// must become true through another rank's store followed by a
+    /// pulse_rank(this rank) (or any delivery to this rank); the timed
+    /// slice self-heals a suppressed notify.
     void wait_until(const std::function<bool()>& pred);
 
     /// Dissemination barrier over all ranks of this communicator.

@@ -13,13 +13,14 @@
 //
 // Completion rides the seq-counter pulse infrastructure (comm.cpp), not
 // mailbox messages: an epoch transition stores its counter (release), then
-// Comm::pulse_rank bumps the waiter's mailbox pulse; the waiting rank parks
-// in the same spin / yield / registered-timed-sleep discipline as a message
-// waiter (Comm::wait_until), so a suppressed or lost notify self-heals on
-// the timed slice. Ordering versus the SPSC lanes is a non-issue by
-// construction: window payloads never touch the lanes, and the epoch
-// counters carry release/acquire edges that publish every plain store (the
-// put bytes) made before the transition.
+// Comm::pulse_rank bumps the waiter's mailbox pulse; the waiting rank waits
+// in the same discipline as a message waiter (Comm::wait_until): polls, one
+// bounded spin window per call that rides out the skew between ranks'
+// fences, then registered timed sleeps, so a suppressed or lost notify
+// self-heals on the timed slice. Ordering versus the SPSC lanes is a
+// non-issue by construction: window payloads never touch the lanes, and the
+// epoch counters carry release/acquire edges that publish every plain store
+// (the put bytes) made before the transition.
 //
 // Two epoch flavors, mirroring MPI-3 active-target synchronization:
 //  - fence(): collective over the communicator; closes the current access

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "datatype/pack.hpp"
+#include "datatype/plan.hpp"
 #include "runtime/comm.hpp"
 
 namespace {
@@ -777,6 +778,39 @@ TEST(Runtime, EagerTransferObeysTheEngineRule) {
             ASSERT_EQ(base.landed[2 * i + 1], -1.0) << "gap " << i;
         }
     }
+}
+
+// rt::transfer counts the plan compile that its first use of a fresh type
+// triggers, on the gather (send plan) and on the scatter (receive plan)
+// side, and nothing once the type's node has memoized its plan.
+TEST(Runtime, FreshTypeCountsOnePlanCompileOnFirstTransferOnly) {
+    nncomm::dt::PlanCache::instance().reset();  // the cache is process-wide
+    StatCounters counters;
+    nncomm::PhaseTimers timers;
+    const nncomm::dt::EngineConfig config{};
+    const nncomm::rt::TransferCtx how{nncomm::dt::EngineKind::DualContext, config, counters,
+                                      timers};
+    const Datatype dense = Datatype::float64();
+    const Datatype gather = Datatype::vector(5, 3, 7, Datatype::float64());
+    const Datatype scatter = Datatype::vector(3, 2, 5, Datatype::float64());
+    std::vector<double> strided(64, 1.5), packed(64, 0.0);
+
+    for (const Datatype& t : {gather, scatter}) {
+        const bool send_side = t == gather;
+        for (int call = 0; call < 2; ++call) {
+            counters.reset();
+            if (send_side) {
+                nncomm::rt::transfer(strided.data(), 1, t, packed.data(), t.size() / 8, dense,
+                                     t.size(), how);
+            } else {
+                nncomm::rt::transfer(packed.data(), t.size() / 8, dense, strided.data(), 1, t,
+                                     t.size(), how);
+            }
+            EXPECT_EQ(counters.plan_compiles, call == 0 ? 1u : 0u)
+                << (send_side ? "gather" : "scatter") << " call " << call;
+        }
+    }
+    EXPECT_EQ(nncomm::dt::PlanCache::instance().stats().misses, 2u);
 }
 
 // Parameterized stress: random point-to-point traffic with mixed datatypes
